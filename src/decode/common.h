@@ -36,18 +36,6 @@ struct DecodeOptions {
   const Deadline* deadline = nullptr;
 };
 
-namespace decode_internal {
-
-/// Converts raw step logits to log-probabilities with generation-invalid
-/// tokens (<pad>, <bos>, <unk>, and optionally <eos>) masked to -inf.
-std::vector<float> StepLogProbs(const std::vector<float>& logits,
-                                bool allow_eos);
-
-/// Sorts hypotheses by log_prob descending and truncates to `limit`.
-void SortAndTrim(std::vector<DecodedSequence>* seqs, size_t limit);
-
-}  // namespace decode_internal
-
 }  // namespace cyqr
 
 #endif  // CYCLEQR_DECODE_COMMON_H_

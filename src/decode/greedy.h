@@ -8,7 +8,8 @@ namespace cyqr {
 /// Greedy decoding: the most likely token at each step. Returns exactly one
 /// sequence. The paper notes this "outputs only one sequence, which does
 /// not fit into our algorithm" — it is implemented as the baseline decoder
-/// for the decoding ablation.
+/// for the decoding ablation, as beam search with k = 1 (options.beam_size
+/// is ignored).
 DecodedSequence GreedyDecode(const Seq2SeqModel& model,
                              const std::vector<int32_t>& src_ids,
                              const DecodeOptions& options = {});

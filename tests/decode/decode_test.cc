@@ -14,39 +14,19 @@
 #include "decode/topn_sampling.h"
 #include "nmt/scorer.h"
 #include "nmt/transformer.h"
-#include "rewrite/trainer.h"
 #include "text/vocabulary.h"
+#include "tiny_models.h"
 
 namespace cyqr {
 namespace {
-
-Seq2SeqConfig SmallConfig() {
-  Seq2SeqConfig config;
-  config.vocab_size = 20;
-  config.d_model = 16;
-  config.num_heads = 2;
-  config.ff_hidden = 32;
-  config.num_layers = 1;
-  config.dropout = 0.0f;
-  return config;
-}
 
 /// A small trained model so decoding has meaningful structure.
 class DecodeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     Rng rng(11);
-    model_ = std::make_unique<TransformerSeq2Seq>(SmallConfig(), rng);
-    const std::vector<SeqPair> data = {
-        {{4, 5}, {10, 11, 12}},
-        {{6, 7}, {13, 14}},
-        {{8}, {15, 16}},
-    };
-    SupervisedTrainOptions options;
-    options.max_steps = 200;
-    options.batch_size = 3;
-    TrainSupervised(*model_, data, options);
-    model_->SetTraining(false);
+    model_ = std::make_unique<TransformerSeq2Seq>(TinyDecodeConfig(), rng);
+    TrainOnTinyPairs(*model_);
   }
   static void TearDownTestSuite() {
     model_.reset();
@@ -79,8 +59,36 @@ TEST_F(DecodeTest, BeamWidthOneEqualsGreedy) {
   options.beam_size = 1;
   options.max_len = 6;
   const auto beam = BeamSearchDecode(*model_, {4, 5}, options);
+  const DecodedSequence greedy = GreedyDecode(*model_, {4, 5}, options);
   ASSERT_EQ(beam.size(), 1u);
-  EXPECT_EQ(beam[0].ids, GreedyDecode(*model_, {4, 5}, options).ids);
+  EXPECT_EQ(beam[0].ids, greedy.ids);
+  // Including the EOS term: a finished hypothesis, not its parent prefix.
+  EXPECT_DOUBLE_EQ(beam[0].log_prob, greedy.log_prob);
+}
+
+TEST_F(DecodeTest, BeamHypothesesAreDistinctAndFullyScored) {
+  // Regression: the early stop used to return the step's already-expanded
+  // parents as unfinished hypotheses. A parent scores at least as high as
+  // its children, so those stale prefixes outranked real completions and
+  // repeated sequences the beam had already finished.
+  const std::vector<std::vector<int32_t>> sources = {{4, 5}, {6, 7}, {8}};
+  for (const std::vector<int32_t>& src : sources) {
+    for (int64_t k = 2; k <= 4; ++k) {
+      DecodeOptions options;
+      options.beam_size = k;
+      options.max_len = 6;
+      std::set<std::vector<int32_t>> seen;
+      const auto beam = BeamSearchDecode(*model_, src, options);
+      for (const DecodedSequence& s : beam) {
+        EXPECT_TRUE(seen.insert(s.ids).second)
+            << "duplicate hypothesis, k=" << k << " src[0]=" << src[0];
+        if (static_cast<int64_t>(s.ids.size()) < options.max_len) {
+          EXPECT_NEAR(s.log_prob, ScoreSequence(*model_, src, s.ids), 1e-3)
+              << "k=" << k << " src[0]=" << src[0];
+        }
+      }
+    }
+  }
 }
 
 TEST_F(DecodeTest, BeamReturnsSortedScores) {
@@ -321,6 +329,49 @@ TEST_F(DecodeTest, MidDecodeExpiryReturnsTruncatedHypotheses) {
   infinite.Charge(1e9);
   bounded.deadline = &infinite;
   EXPECT_EQ(GreedyDecode(*model_, {4, 5}, bounded).ids, reference.ids);
+}
+
+// Every decoder that takes beam_size rejects a non-positive one with a
+// check that names it. Diverse beam search used to divide by zero on 0 and
+// throw std::length_error on a negative size.
+using DecodeDeathTest = DecodeTest;
+
+TEST_F(DecodeDeathTest, BeamRejectsNonPositiveBeamSize) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int64_t k : {0, -2}) {
+    DecodeOptions options;
+    options.beam_size = k;
+    EXPECT_DEATH(BeamSearchDecode(*model_, {4, 5}, options), "beam_size");
+  }
+}
+
+TEST_F(DecodeDeathTest, DiverseBeamRejectsNonPositiveBeamSize) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int64_t k : {0, -2}) {
+    DecodeOptions options;
+    options.beam_size = k;
+    EXPECT_DEATH(DiverseBeamSearchDecode(*model_, {4, 5}, options),
+                 "beam_size");
+  }
+}
+
+TEST_F(DecodeDeathTest, TopNRejectsNonPositiveBeamSize) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int64_t k : {0, -2}) {
+    DecodeOptions options;
+    options.beam_size = k;
+    EXPECT_DEATH(TopNSamplingDecode(*model_, {4, 5}, options), "beam_size");
+  }
+}
+
+TEST_F(DecodeDeathTest, NucleusRejectsNonPositiveBeamSize) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int64_t k : {0, -2}) {
+    DecodeOptions options;
+    options.beam_size = k;
+    EXPECT_DEATH(NucleusSamplingDecode(*model_, {4, 5}, options),
+                 "beam_size");
+  }
 }
 
 }  // namespace

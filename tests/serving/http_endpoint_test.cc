@@ -151,8 +151,8 @@ TEST(HttpEndpointTest, ConcurrentScrapesAllAnswered) {
 class IntrospectionRoutesTest : public testing::Test {
  protected:
   IntrospectionRoutesTest()
-      : recorder_(/*events_per_thread=*/64),
-        sampler_(/*keep_per_bucket=*/4) {
+      : sampler_(/*keep_per_bucket=*/4),
+        recorder_(/*events_per_thread=*/64) {
     Introspector::Options options;
     options.metrics = &registry_;
     options.traces = &sampler_;
