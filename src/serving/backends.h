@@ -31,8 +31,9 @@ class ModelBackend {
  public:
   virtual ~ModelBackend() = default;
 
-  /// OK + fills `out` (possibly empty when the model has nothing to say);
-  /// non-OK on model failure.
+  /// OK + fills `out` (possibly empty when the model has nothing to say).
+  /// NotFound is also a clean miss, exactly like an empty answer; any
+  /// other code is a model failure (counted by the circuit breaker).
   [[nodiscard]] virtual Status Rewrite(
       const std::vector<std::string>& query_tokens, int64_t k,
       int64_t max_len, Deadline& deadline,

@@ -335,8 +335,10 @@ RewriteService::Response RewriteService::Serve(
           "deadline expired during model decode");
     } else if (status.ok() && !rewrites.empty() && !ValidRewrites(rewrites)) {
       status = Status::Internal("direct model returned invalid output");
+    } else if (status.ok() && rewrites.empty()) {
+      status = Status::NotFound("model produced no rewrites");
     }
-    if (status.ok() && !rewrites.empty()) {
+    if (status.ok()) {
       breaker_.RecordSuccess();
       NoteBreakerState(trace);
       // ordering: relaxed — observability counter/snapshot; no other memory is
@@ -359,19 +361,19 @@ RewriteService::Response RewriteService::Serve(
       finish();
       return response;
     }
-    if (status.ok()) {
-      // Healthy model, nothing to say: a miss, not a failure.
+    if (status.code() == StatusCode::kNotFound) {
+      // Healthy model, nothing to say (an empty answer or a NotFound from
+      // the backend): a miss, not a failure.
       breaker_.RecordSuccess();
       NoteBreakerState(trace);
       // ordering: relaxed — observability counter/snapshot; no other memory is
       // published or consumed through it.
       model_calls_.fetch_add(1, std::memory_order_relaxed);
-      const Status miss = Status::NotFound("model produced no rewrites");
       span.SetDetail("miss");
-      RecordRungOutcome(Source::kDirectModel, miss, /*skipped=*/false,
+      RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/false,
                         elapsed() - model_start);
       response.attempts.push_back(
-          {Source::kDirectModel, miss, /*skipped=*/false});
+          {Source::kDirectModel, status, /*skipped=*/false});
     } else {
       breaker_.RecordFailure();
       NoteBreakerState(trace);

@@ -382,6 +382,37 @@ TEST_F(LadderTest, FlappingModelDrivesBreakerThroughFullCycle) {
   EXPECT_EQ(service.degraded_requests(), 7);
 }
 
+TEST_F(LadderTest, ModelBackendNotFoundIsACleanMiss) {
+  // NotFound is a miss on every rung, whether the model says so with an
+  // empty answer or with the status itself: the breaker sees a healthy
+  // model, the trace reads "miss", and nothing is reported as a failure.
+  model_.status = Status::NotFound("no rewrite for this query");
+  RewriteService service(cache_.get(), &model_, rules_.get(),
+                         SmallBreakerOptions());
+  for (int i = 0; i < 6; ++i) {
+    Trace trace;
+    const auto response =
+        service.Serve({"cheap", "phone"}, Deadline::Infinite(), &trace);
+    EXPECT_EQ(response.source, Source::kRuleBased);
+    EXPECT_TRUE(response.degraded);  // Rules answered.
+    EXPECT_TRUE(response.degraded_status.ok())
+        << response.degraded_status.ToString();
+    ASSERT_EQ(response.attempts.size(), 3u);
+    EXPECT_EQ(response.attempts[1].rung, Source::kDirectModel);
+    EXPECT_FALSE(response.attempts[1].skipped);
+    EXPECT_EQ(response.attempts[1].status.code(), StatusCode::kNotFound);
+    ASSERT_EQ(trace.events().size(), 3u);
+    EXPECT_EQ(trace.events()[1].name, "rung:direct-model");
+    EXPECT_EQ(trace.events()[1].detail, "miss");
+    EXPECT_TRUE(trace.events()[1].ok);
+  }
+  EXPECT_EQ(model_.calls, 6);
+  EXPECT_EQ(service.model_failures(), 0);
+  EXPECT_EQ(service.model_calls(), 6);
+  EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(service.breaker().times_opened(), 0);
+}
+
 TEST_F(LadderTest, InjectedCorruptOutputRejectedByValidation) {
   FaultSpec corrupting;
   corrupting.corrupt_probability = 1.0;
