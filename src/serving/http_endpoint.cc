@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -13,6 +14,11 @@
 namespace cyqr {
 
 namespace {
+
+/// Receive timeout on every accepted connection: a client that connects and
+/// sends nothing frees its pool thread after this long, so idle clients can
+/// neither starve scrapes nor keep Stop() waiting.
+constexpr int kReadTimeoutSeconds = 1;
 
 /// Reads from `fd` until the end of the HTTP header block (CRLFCRLF) or
 /// `max_bytes`; the pages are GET-only, so the body (if any) is ignored.
@@ -165,6 +171,10 @@ void HttpEndpoint::AcceptLoop() {
       if (stopping_.load(std::memory_order_relaxed)) return;
       continue;  // Transient (EINTR, aborted connection): keep accepting.
     }
+    timeval read_timeout{};
+    read_timeout.tv_sec = kReadTimeoutSeconds;
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+                 sizeof(read_timeout));
     ThreadPool::Job job;
     job.run = [this, conn] { HandleConnection(conn); };
     // Shed: the scrape storm case — answer 503 on the accept thread and

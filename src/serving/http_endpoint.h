@@ -26,6 +26,8 @@ namespace cyqr {
 /// connection is handed to a small ThreadPool whose bounded queue sheds
 /// excess connections with a 503 — a scrape storm cannot pile up
 /// unbounded work (the same overload discipline as the serving path).
+/// Every connection reads under a fixed 1 s receive timeout, so a client
+/// that connects and sends nothing cannot hold a pool thread.
 ///
 /// Lifecycle: Start() binds/listens and spawns the accept thread; Stop()
 /// shuts the listen socket down (unblocking accept), joins the thread,

@@ -5,10 +5,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,12 +25,10 @@
 namespace cyqr {
 namespace {
 
-/// Raw-socket GET against 127.0.0.1:port; returns the full response
-/// (status line + headers + body) or "" on any socket failure. Kept
-/// deliberately independent of HttpEndpoint's own parsing.
-std::string HttpGet(int port, const std::string& path) {
+/// Opens a loopback TCP connection to `port`; -1 on failure.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -35,8 +36,23 @@ std::string HttpGet(int port, const std::string& path) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Raw-socket GET against 127.0.0.1:port; returns the full response
+/// (status line + headers + body) or "" on any socket failure. A client
+/// receive timeout turns a server that never answers into a failure
+/// instead of a hang. Kept deliberately independent of HttpEndpoint's own
+/// parsing.
+std::string HttpGet(int port, const std::string& path,
+                    int timeout_seconds = 10) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
+  timeval timeout{};
+  timeout.tv_sec = timeout_seconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   const std::string request =
       "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   size_t sent = 0;
@@ -58,6 +74,15 @@ std::string HttpGet(int port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+/// Waits (up to 10 s) until the endpoint has picked up `count`
+/// connections, so idle clients are known to occupy pool threads.
+bool WaitForConnections(const HttpEndpoint& endpoint, int64_t count) {
+  for (int i = 0; i < 1000 && endpoint.requests_total() < count; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return endpoint.requests_total() >= count;
 }
 
 std::string StatusLine(const std::string& response) {
@@ -146,6 +171,53 @@ TEST(HttpEndpointTest, ConcurrentScrapesAllAnswered) {
   // ordering: relaxed — read after the join; no concurrent writers left.
   EXPECT_EQ(ok_count.load(std::memory_order_relaxed), kClients * kGetsEach);
   endpoint.Stop();
+}
+
+TEST(HttpEndpointTest, IdleClientsDoNotBlockScrapes) {
+  // Two clients that connect and send nothing hold both pool threads; the
+  // read timeout must free them so a real scrape is still answered.
+  HttpEndpoint::Options options;
+  options.port = 0;
+  options.num_threads = 2;
+  HttpEndpoint endpoint(options);
+  endpoint.AddRoute("/metrics", [](const std::string&) {
+    return IntrospectPage{200, "text/plain", "ok"};
+  });
+  ASSERT_TRUE(endpoint.Start().ok());
+  const int idle_a = Connect(endpoint.port());
+  const int idle_b = Connect(endpoint.port());
+  ASSERT_GE(idle_a, 0);
+  ASSERT_GE(idle_b, 0);
+  ASSERT_TRUE(WaitForConnections(endpoint, 2));
+
+  const std::string response =
+      HttpGet(endpoint.port(), "/metrics", /*timeout_seconds=*/3);
+  EXPECT_EQ(StatusLine(response), "HTTP/1.1 200 OK");
+  // Close the idle clients first: an endpoint with no read timeout would
+  // otherwise keep Stop() waiting on them forever.
+  ::close(idle_a);
+  ::close(idle_b);
+  endpoint.Stop();
+}
+
+TEST(HttpEndpointTest, StopIsNotHeldByAnIdleClient) {
+  HttpEndpoint::Options options;
+  options.port = 0;
+  HttpEndpoint endpoint(options);
+  endpoint.AddRoute("/metrics", [](const std::string&) {
+    return IntrospectPage{200, "text/plain", "ok"};
+  });
+  ASSERT_TRUE(endpoint.Start().ok());
+  const int idle = Connect(endpoint.port());
+  ASSERT_GE(idle, 0);
+  ASSERT_TRUE(WaitForConnections(endpoint, 1));
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&endpoint] { endpoint.Stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(3)),
+            std::future_status::ready);
+  ::close(idle);  // Unblocks a Stop() that is still waiting on the client.
+  stopped.get();
 }
 
 class IntrospectionRoutesTest : public testing::Test {
