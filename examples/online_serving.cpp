@@ -94,12 +94,14 @@ int main() {
               static_cast<long long>(service.cache_hits()),
               static_cast<long long>(service.model_calls()),
               100.0 * service.cache_hits() / kRequests);
+  const Histogram& cache_latency =
+      service.rung_latency(RewriteService::Source::kCache);
+  const Histogram& model_latency =
+      service.rung_latency(RewriteService::Source::kDirectModel);
   std::printf("cache path:  mean %.3f ms, p99 %.3f ms\n",
-              service.cache_latency().MeanMillis(),
-              service.cache_latency().PercentileMillis(0.99));
+              cache_latency.Mean(), cache_latency.QuantileEstimate(0.99));
   std::printf("model path:  mean %.1f ms, p99 %.1f ms\n",
-              service.model_latency().MeanMillis(),
-              service.model_latency().PercentileMillis(0.99));
+              model_latency.Mean(), model_latency.QuantileEstimate(0.99));
   std::printf("(paper budget: 50 ms end-to-end; cache <5 ms, direct model "
               "~30 ms on a 32-core CPU)\n");
 

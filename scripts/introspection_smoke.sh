@@ -38,22 +38,28 @@ serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
 
 # The serve log prints "introspection: http://127.0.0.1:PORT/statusz" as
-# soon as the endpoint is up; poll for it instead of guessing a port.
+# soon as the endpoint is up, and "holding introspection endpoint" once the
+# replay is over; poll for both instead of guessing a port. Scraping only
+# after the replay keeps the exemplar check deterministic: /metrics and
+# /tracez are read one after the other, and requests served in between
+# could evict the exemplar's trace from /tracez's bounded per-outcome store.
 port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n \
-    's|^introspection: http://127\.0\.0\.1:\([0-9]*\)/statusz$|\1|p' \
-    "$WORK/serve.log" | head -n 1)"
-  [[ -n "$port" ]] && break
+for _ in $(seq 1 300); do
+  if grep -q '^holding introspection endpoint' "$WORK/serve.log"; then
+    port="$(sed -n \
+      's|^introspection: http://127\.0\.0\.1:\([0-9]*\)/statusz$|\1|p' \
+      "$WORK/serve.log" | head -n 1)"
+    break
+  fi
   if ! kill -0 "$serve_pid" 2>/dev/null; then
-    echo "FAIL: serve exited before the endpoint came up" >&2
+    echo "FAIL: serve exited before holding the endpoint" >&2
     cat "$WORK/serve.log" >&2
     exit 1
   fi
   sleep 0.1
 done
 if [[ -z "$port" ]]; then
-  echo "FAIL: no introspection port in the serve log" >&2
+  echo "FAIL: no held introspection port in the serve log" >&2
   cat "$WORK/serve.log" >&2
   exit 1
 fi

@@ -96,7 +96,7 @@ class Gauge {
 /// Fixed-bucket histogram: cumulative-style buckets over strictly
 /// increasing upper bounds plus an implicit +Inf overflow bucket, with
 /// exact count/sum/max tracked alongside. Safe under concurrent Observe;
-/// mergeable when bounds match (the LatencyRecorder shim relies on this).
+/// mergeable when bounds match.
 class Histogram {
  public:
   /// `bounds` are the bucket upper bounds, strictly increasing, non-empty.

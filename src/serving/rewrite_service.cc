@@ -11,11 +11,6 @@
 namespace cyqr {
 namespace {
 
-// Label values for the `rung` instrument label; indexed by Source.
-const char* RungLabel(RewriteService::Source source) {
-  return RewriteService::SourceName(source);
-}
-
 // Latency histograms record exactly until a series has this many
 // observations, then sample (SampleObservation in obs/metrics.h). Deadline
 // headroom costs an extra clock read on top of Observe, so it thins out
@@ -24,11 +19,14 @@ constexpr int64_t kExactObservationWindow = 1024;
 constexpr int64_t kLatencySampleStride = 8;
 constexpr int64_t kDeadlineSampleStride = 16;
 
-// Flight-recorder rung outcome codes (arg1 of the serving.rung event).
-constexpr int64_t kFlightOutcomeAnswer = 0;
-constexpr int64_t kFlightOutcomeMiss = 1;
-constexpr int64_t kFlightOutcomeError = 2;
-constexpr int64_t kFlightOutcomeSkipped = 3;
+// The class of one rung outcome. The values (0..3) are the flight
+// recorder's outcome codes (arg1 of the serving.rung event).
+enum class Outcome : int64_t { kAnswer, kMiss, kError, kSkipped };
+
+// Trace span names; indexed by Source.
+constexpr const char* kRungSpanNames[] = {"rung:cache", "rung:direct-model",
+                                          "rung:rule-based",
+                                          "rung:passthrough"};
 
 }  // namespace
 
@@ -78,27 +76,29 @@ RewriteService::RewriteService(const RewriteKvStore* store,
 }
 
 void RewriteService::InitInstruments(MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  obs_ = std::make_unique<Instruments>();
-  obs_->requests = metrics->GetCounter("cyqr_serving_requests_total");
-  obs_->degraded = metrics->GetCounter("cyqr_serving_degraded_total");
-  obs_->request_latency =
+  if (metrics == nullptr) {
+    owned_metrics_ = std::make_unique<MetricsRegistry>();
+    metrics = owned_metrics_.get();
+  }
+  obs_.requests = metrics->GetCounter("cyqr_serving_requests_total");
+  obs_.degraded = metrics->GetCounter("cyqr_serving_degraded_total");
+  obs_.request_latency =
       metrics->GetHistogram("cyqr_serving_request_latency_millis",
                             Histogram::DefaultLatencyBoundsMillis());
-  obs_->deadline_remaining =
+  obs_.deadline_remaining =
       metrics->GetHistogram("cyqr_serving_deadline_remaining_millis",
                             Histogram::DefaultLatencyBoundsMillis());
-  obs_->breaker_state = metrics->GetGauge("cyqr_serving_breaker_state");
+  obs_.breaker_state = metrics->GetGauge("cyqr_serving_breaker_state");
   for (int s = 0; s < 3; ++s) {
-    obs_->breaker_transitions[s] = metrics->GetCounter(
+    obs_.breaker_transitions[s] = metrics->GetCounter(
         "cyqr_serving_breaker_transitions_total",
         {{"to", CircuitBreaker::StateName(
                     static_cast<CircuitBreaker::State>(s))}});
   }
   for (int r = 0; r < 4; ++r) {
     const MetricLabels labels = {
-        {"rung", RungLabel(static_cast<Source>(r))}};
-    RungInstruments& rung = obs_->rungs[r];
+        {"rung", SourceName(static_cast<Source>(r))}};
+    RungInstruments& rung = obs_.rungs[r];
     rung.attempts =
         metrics->GetCounter("cyqr_serving_rung_attempts_total", labels);
     rung.answers =
@@ -113,28 +113,54 @@ void RewriteService::InitInstruments(MetricsRegistry* metrics) {
         metrics->GetHistogram("cyqr_serving_rung_latency_millis",
                               Histogram::DefaultLatencyBoundsMillis(), labels);
   }
-  obs_->breaker_state->Set(0.0);  // kClosed.
+  obs_.breaker_state->Set(0.0);  // kClosed.
 }
 
-void RewriteService::RecordRungOutcome(Source rung, const Status& status,
-                                       bool skipped, double latency_millis) {
-  // Always-on flight event, even with metrics disabled: the recorder is
-  // the transient-failure journal, and a rung outcome is exactly the kind
-  // of breadcrumb a post-mortem needs. args = (rung index, outcome code).
+bool RewriteService::BookRung(Source rung, const Status& status,
+                              const char* skipped, double latency_millis,
+                              TraceSpan* span, Response* response) {
+  const Outcome outcome = skipped != nullptr ? Outcome::kSkipped
+                          : status.ok()      ? Outcome::kAnswer
+                          : status.code() == StatusCode::kNotFound
+                              ? Outcome::kMiss
+                              : Outcome::kError;
+  response->attempts.push_back({rung, status, skipped != nullptr});
+  // Degradation starts at the first error or refused call (budget,
+  // breaker); a rung with no backend configured is not a failure.
+  const bool configured =
+      (rung != Source::kDirectModel || model_ != nullptr) &&
+      (rung != Source::kRuleBased || rule_based_ != nullptr);
+  if ((outcome == Outcome::kError ||
+       (outcome == Outcome::kSkipped && configured)) &&
+      response->degraded_status.ok()) {
+    response->degraded_status = status;
+  }
+  switch (outcome) {
+    case Outcome::kAnswer:
+      span->SetDetail("hit");
+      break;
+    case Outcome::kMiss:
+      span->SetDetail("miss");
+      break;
+    case Outcome::kError:
+      span->SetStatus(status);
+      break;
+    case Outcome::kSkipped:
+      span->SetDetail(skipped);
+      break;
+  }
+  // Always-on flight event: the recorder is the transient-failure journal,
+  // and a rung outcome is exactly the kind of breadcrumb a post-mortem
+  // needs. args = (rung index, outcome code).
   static const int32_t kRungEvent =
       FlightRecorder::Global().InternName("serving.rung");
-  const int64_t outcome = skipped ? kFlightOutcomeSkipped
-                          : status.ok() ? kFlightOutcomeAnswer
-                          : status.code() == StatusCode::kNotFound
-                              ? kFlightOutcomeMiss
-                              : kFlightOutcomeError;
   FlightRecorder::Global().Record(FlightCategory::kServing, kRungEvent,
-                                  static_cast<int64_t>(rung), outcome);
-  if (obs_ == nullptr) return;
-  RungInstruments& in = obs_->rungs[static_cast<size_t>(rung)];
-  if (skipped) {
+                                  static_cast<int64_t>(rung),
+                                  static_cast<int64_t>(outcome));
+  RungInstruments& in = obs_.rungs[static_cast<size_t>(rung)];
+  if (outcome == Outcome::kSkipped) {
     in.skipped->Increment();
-    return;
+    return false;
   }
   // The attempt counter doubles as the per-rung sampling sequence: a hot
   // rung (cache at full traffic) thins its latency histogram to 1-in-8
@@ -143,13 +169,11 @@ void RewriteService::RecordRungOutcome(Source rung, const Status& status,
   if (SampleObservation(seq, kExactObservationWindow, kLatencySampleStride)) {
     in.latency->Observe(latency_millis);
   }
-  if (status.ok()) {
-    in.answers->Increment();
-  } else if (status.code() == StatusCode::kNotFound) {
-    in.misses->Increment();
-  } else {
-    in.errors->Increment();
-  }
+  Counter* tally = outcome == Outcome::kAnswer ? in.answers
+                   : outcome == Outcome::kMiss ? in.misses
+                                               : in.errors;
+  tally->Increment();
+  return outcome == Outcome::kAnswer;
 }
 
 void RewriteService::NoteBreakerState(Trace* trace) {
@@ -168,10 +192,50 @@ void RewriteService::NoteBreakerState(Trace* trace) {
                     std::string(CircuitBreaker::StateName(prev)) + " -> " +
                         CircuitBreaker::StateName(state));
   }
-  if (obs_ != nullptr) {
-    obs_->breaker_transitions[static_cast<size_t>(state)]->Increment();
-    obs_->breaker_state->Set(static_cast<double>(state));
+  obs_.breaker_transitions[static_cast<size_t>(state)]->Increment();
+  obs_.breaker_state->Set(static_cast<double>(state));
+}
+
+Status RewriteService::TryModel(const std::vector<std::string>& query_tokens,
+                                Deadline& deadline, Trace* trace,
+                                RewriteKvStore::Rewrites* out,
+                                const char** skipped) {
+  if (model_ == nullptr) {
+    *skipped = "skipped(no model)";
+    return Status::FailedPrecondition("no direct model configured");
   }
+  if (!deadline.HasBudget(options_.model_min_budget_millis)) {
+    *skipped = "skipped(no budget)";
+    return Status::FailedPrecondition(
+        "deadline budget exhausted before model rung");
+  }
+  const bool admitted = breaker_.AllowRequest();
+  NoteBreakerState(trace);
+  if (!admitted) {
+    *skipped = "skipped(breaker open)";
+    return Status::FailedPrecondition("direct-model circuit breaker open");
+  }
+  std::vector<RewriteCandidate> candidates;
+  Status status =
+      model_->Rewrite(query_tokens, options_.max_rewrites,
+                      options_.max_rewrite_len, deadline, &candidates);
+  for (RewriteCandidate& c : candidates) out->push_back(std::move(c.tokens));
+  if (status.ok() && deadline.Expired()) {
+    status = Status::FailedPrecondition(
+        "deadline expired during model decode");
+  } else if (status.ok() && out->empty()) {
+    status = Status::NotFound("model produced no rewrites");
+  } else if (status.ok() && !ValidRewrites(*out)) {
+    status = Status::Internal("direct model returned invalid output");
+  }
+  // A miss is a healthy model with nothing to say, not a failure.
+  if (status.ok() || status.code() == StatusCode::kNotFound) {
+    breaker_.RecordSuccess();
+  } else {
+    breaker_.RecordFailure();
+  }
+  NoteBreakerState(trace);
+  return status;
 }
 
 RewriteService::Response RewriteService::Serve(
@@ -199,251 +263,100 @@ RewriteService::Response RewriteService::Serve(
     return watch.ElapsedMillis() +
            (deadline.charged_millis() - charged_at_entry);
   };
-  const auto note_failure = [&](const Status& status) {
-    if (response.degraded_status.ok()) response.degraded_status = status;
-  };
-  const auto answer = [&](Source source,
-                          std::vector<std::vector<std::string>> rewrites) {
-    response.source = source;
+
+  // The request counter doubles as the sampling sequence for the
+  // request-level histograms; every counter stays exact.
+  const int64_t request_seq = obs_.requests->FetchIncrement();
+  if (SampleObservation(request_seq, kExactObservationWindow,
+                        kDeadlineSampleStride) &&
+      !deadline.infinite()) {
+    obs_.deadline_remaining->Observe(deadline.RemainingMillis());
+  }
+  const bool sample_latency = SampleObservation(
+      request_seq, kExactObservationWindow, kLatencySampleStride);
+  // Exemplar coverage: requests the caller did not trace get a
+  // service-created trace exactly when their latency will be observed, so
+  // every exemplar written below resolves in the sampler.
+  std::unique_ptr<Trace> sampled_trace;
+  if (trace == nullptr && options_.trace_sampler != nullptr &&
+      sample_latency) {
+    sampled_trace = std::make_unique<Trace>();
+    trace = sampled_trace.get();
+  }
+
+  // Walk the ladder; the passthrough rung always answers.
+  for (const Source rung : {Source::kCache, Source::kDirectModel,
+                            Source::kRuleBased, Source::kPassthrough}) {
+    TraceSpan span(trace, kRungSpanNames[static_cast<size_t>(rung)]);
+    const double rung_start = elapsed();
+    RewriteKvStore::Rewrites rewrites;
+    const char* skipped = nullptr;
+    Status status;
+    switch (rung) {
+      case Source::kCache:
+        status = cache_->Lookup(JoinStrings(query_tokens), deadline,
+                                &rewrites);
+        break;
+      case Source::kDirectModel:
+        status = TryModel(query_tokens, deadline, trace, &rewrites, &skipped);
+        break;
+      case Source::kRuleBased:
+        if (rule_based_ == nullptr) {
+          skipped = "skipped(no rules)";
+          status = Status::FailedPrecondition(
+              "no rule-based rewriter configured");
+          break;
+        }
+        // In-memory synonym lookup: microseconds, cannot block, so
+        // RuleBasedRewriter deliberately has no Deadline overload.
+        // NOLINTNEXTLINE(cyqr-deadline-propagation): see above.
+        rewrites = rule_based_->Rewrite(query_tokens, options_.max_rewrites);
+        if (rewrites.empty()) {
+          status = Status::NotFound("no synonym phrase matched");
+        }
+        break;
+      case Source::kPassthrough:
+        rewrites = {query_tokens};
+        break;
+    }
+    if (!BookRung(rung, status, skipped, elapsed() - rung_start, &span,
+                  &response)) {
+      continue;
+    }
+    response.source = rung;
     response.rewrites = std::move(rewrites);
     if (static_cast<int64_t>(response.rewrites.size()) >
         options_.max_rewrites) {
       response.rewrites.resize(options_.max_rewrites);
     }
-    response.attempts.push_back({source, Status::OK(), /*skipped=*/false});
     response.latency_millis = elapsed();
-  };
-  // Books the whole request once the answering rung is known. The request
-  // counter doubles as the sampling sequence for the request-level
-  // histograms; every counter stays exact.
-  int64_t request_seq = 0;
-  const auto finish = [&] {
-    // Flight event per finished request: (answering rung, latency in
-    // microseconds). Always on — this is what makes the tail of a
-    // post-mortem journal identify the in-flight request mix.
-    static const int32_t kRequestEvent =
-        FlightRecorder::Global().InternName("serving.request");
-    FlightRecorder::Global().Record(
-        FlightCategory::kServing, kRequestEvent,
-        static_cast<int64_t>(response.source),
-        static_cast<int64_t>(response.latency_millis * 1000.0));
-    if (options_.trace_sampler != nullptr && trace != nullptr) {
-      options_.trace_sampler->Sample(*trace, SourceName(response.source));
-    }
-    if (obs_ == nullptr) return;
-    if (SampleObservation(request_seq, kExactObservationWindow,
-                          kLatencySampleStride)) {
-      // The trace id rides along as the bucket's exemplar — the /metrics
-      // -> /tracez join for one concrete request in this bucket.
-      obs_->request_latency->Observe(response.latency_millis,
-                                     trace != nullptr ? trace->id() : 0);
-    }
-    if (response.degraded) obs_->degraded->Increment();
-  };
-
-  std::unique_ptr<Trace> sampled_trace;
-  if (obs_ != nullptr) {
-    request_seq = obs_->requests->FetchIncrement();
-    if (SampleObservation(request_seq, kExactObservationWindow,
-                          kDeadlineSampleStride) &&
-        !deadline.infinite()) {
-      obs_->deadline_remaining->Observe(deadline.RemainingMillis());
-    }
-    // Exemplar coverage: requests the caller did not trace get a
-    // service-created trace exactly when their latency will be observed,
-    // so every exemplar written by finish() resolves in the sampler.
-    if (trace == nullptr && options_.trace_sampler != nullptr &&
-        SampleObservation(request_seq, kExactObservationWindow,
-                          kLatencySampleStride)) {
-      sampled_trace = std::make_unique<Trace>();
-      trace = sampled_trace.get();
-    }
+    // Rules and passthrough always degrade; the model degrades only when
+    // an upstream rung failed (e.g. a cache outage).
+    response.degraded =
+        rung >= Source::kRuleBased || !response.degraded_status.ok();
+    span.End();  // Close the span before the sampler reads the trace.
+    break;
   }
 
-  const std::string key = JoinStrings(query_tokens);
-
-  // Rung 1: precomputed KV cache.
-  {
-    TraceSpan span(trace, "rung:cache");
-    const double rung_start = elapsed();
-    RewriteKvStore::Rewrites cached;
-    const Status status = cache_->Lookup(key, deadline, &cached);
-    RecordRungOutcome(Source::kCache, status, /*skipped=*/false,
-                      elapsed() - rung_start);
-    if (status.ok()) {
-      span.SetDetail("hit");
-      answer(Source::kCache, std::move(cached));
-      cache_latency_.Record(response.latency_millis);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      span.End();  // Close the span before finish() samples the trace.
-      finish();
-      return response;
-    }
-    if (status.code() == StatusCode::kNotFound) {
-      span.SetDetail("miss");
-    } else {
-      span.SetStatus(status);
-      note_failure(status);
-    }
-    response.attempts.push_back({Source::kCache, status, /*skipped=*/false});
+  // Flight event per finished request: (answering rung, latency in
+  // microseconds). Always on — this is what makes the tail of a
+  // post-mortem journal identify the in-flight request mix.
+  static const int32_t kRequestEvent =
+      FlightRecorder::Global().InternName("serving.request");
+  FlightRecorder::Global().Record(
+      FlightCategory::kServing, kRequestEvent,
+      static_cast<int64_t>(response.source),
+      static_cast<int64_t>(response.latency_millis * 1000.0));
+  if (options_.trace_sampler != nullptr && trace != nullptr) {
+    options_.trace_sampler->Sample(*trace, SourceName(response.source));
   }
-
-  // Rung 2: fast direct q2q model — deadline- and breaker-gated.
-  if (model_ == nullptr) {
-    const Status status =
-        Status::FailedPrecondition("no direct model configured");
-    TraceSpan span(trace, "rung:direct-model");
-    span.SetDetail("skipped(no model)");
-    RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/true, 0.0);
-    response.attempts.push_back(
-        {Source::kDirectModel, status, /*skipped=*/true});
-  } else if (!deadline.HasBudget(options_.model_min_budget_millis)) {
-    const Status status = Status::FailedPrecondition(
-        "deadline budget exhausted before model rung");
-    TraceSpan span(trace, "rung:direct-model");
-    span.SetDetail("skipped(no budget)");
-    RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/true, 0.0);
-    note_failure(status);
-    response.attempts.push_back(
-        {Source::kDirectModel, status, /*skipped=*/true});
-  } else if (!breaker_.AllowRequest()) {
-    NoteBreakerState(trace);
-    const Status status =
-        Status::FailedPrecondition("direct-model circuit breaker open");
-    TraceSpan span(trace, "rung:direct-model");
-    span.SetDetail("skipped(breaker open)");
-    RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/true, 0.0);
-    note_failure(status);
-    response.attempts.push_back(
-        {Source::kDirectModel, status, /*skipped=*/true});
-  } else {
-    NoteBreakerState(trace);
-    TraceSpan span(trace, "rung:direct-model");
-    const double model_start = elapsed();
-    std::vector<RewriteCandidate> candidates;
-    Status status =
-        model_->Rewrite(query_tokens, options_.max_rewrites,
-                        options_.max_rewrite_len, deadline, &candidates);
-    std::vector<std::vector<std::string>> rewrites;
-    for (RewriteCandidate& c : candidates) {
-      rewrites.push_back(std::move(c.tokens));
-    }
-    if (status.ok() && deadline.Expired()) {
-      status = Status::FailedPrecondition(
-          "deadline expired during model decode");
-    } else if (status.ok() && !rewrites.empty() && !ValidRewrites(rewrites)) {
-      status = Status::Internal("direct model returned invalid output");
-    } else if (status.ok() && rewrites.empty()) {
-      status = Status::NotFound("model produced no rewrites");
-    }
-    if (status.ok()) {
-      breaker_.RecordSuccess();
-      NoteBreakerState(trace);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      model_calls_.fetch_add(1, std::memory_order_relaxed);
-      span.SetDetail("hit");
-      answer(Source::kDirectModel, std::move(rewrites));
-      const double model_millis = elapsed() - model_start;
-      model_latency_.Record(model_millis);
-      RecordRungOutcome(Source::kDirectModel, Status::OK(),
-                        /*skipped=*/false, model_millis);
-      // Degraded only if an upstream rung failed (e.g. cache outage).
-      response.degraded = !response.degraded_status.ok();
-      if (response.degraded) {
-        // ordering: relaxed — observability counter/snapshot; no other memory
-        // is published or consumed through it.
-        degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-      }
-      span.End();  // Close the span before finish() samples the trace.
-      finish();
-      return response;
-    }
-    if (status.code() == StatusCode::kNotFound) {
-      // Healthy model, nothing to say (an empty answer or a NotFound from
-      // the backend): a miss, not a failure.
-      breaker_.RecordSuccess();
-      NoteBreakerState(trace);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      model_calls_.fetch_add(1, std::memory_order_relaxed);
-      span.SetDetail("miss");
-      RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/false,
-                        elapsed() - model_start);
-      response.attempts.push_back(
-          {Source::kDirectModel, status, /*skipped=*/false});
-    } else {
-      breaker_.RecordFailure();
-      NoteBreakerState(trace);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      model_failures_.fetch_add(1, std::memory_order_relaxed);
-      span.SetStatus(status);
-      RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/false,
-                        elapsed() - model_start);
-      note_failure(status);
-      response.attempts.push_back(
-          {Source::kDirectModel, status, /*skipped=*/false});
-    }
+  if (sample_latency) {
+    // The trace id rides along as the bucket's exemplar — the /metrics
+    // -> /tracez join for one concrete request in this bucket.
+    obs_.request_latency->Observe(response.latency_millis,
+                                  trace != nullptr ? trace->id() : 0);
   }
-
-  // Rung 3: rule-based synonym baseline.
-  if (rule_based_ == nullptr) {
-    const Status status =
-        Status::FailedPrecondition("no rule-based rewriter configured");
-    TraceSpan span(trace, "rung:rule-based");
-    span.SetDetail("skipped(no rules)");
-    RecordRungOutcome(Source::kRuleBased, status, /*skipped=*/true, 0.0);
-    response.attempts.push_back({Source::kRuleBased, status, /*skipped=*/true});
-  } else {
-    TraceSpan span(trace, "rung:rule-based");
-    const double rung_start = elapsed();
-    // In-memory synonym lookup: microseconds, cannot block, so
-    // RuleBasedRewriter deliberately has no Deadline overload.
-    // NOLINTNEXTLINE(cyqr-deadline-propagation): see above.
-    std::vector<std::vector<std::string>> rewrites = rule_based_->Rewrite(
-        query_tokens, options_.max_rewrites);
-    if (!rewrites.empty()) {
-      span.SetDetail("hit");
-      RecordRungOutcome(Source::kRuleBased, Status::OK(), /*skipped=*/false,
-                        elapsed() - rung_start);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      rule_based_answers_.fetch_add(1, std::memory_order_relaxed);
-      answer(Source::kRuleBased, std::move(rewrites));
-      response.degraded = true;
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-      span.End();  // Close the span before finish() samples the trace.
-      finish();
-      return response;
-    }
-    const Status miss = Status::NotFound("no synonym phrase matched");
-    span.SetDetail("miss");
-    RecordRungOutcome(Source::kRuleBased, miss, /*skipped=*/false,
-                      elapsed() - rung_start);
-    response.attempts.push_back({Source::kRuleBased, miss, /*skipped=*/false});
-  }
-
-  // Rung 4: identity passthrough — cannot fail, always answers.
-  {
-    TraceSpan span(trace, "rung:passthrough");
-    span.SetDetail("hit");
-    RecordRungOutcome(Source::kPassthrough, Status::OK(), /*skipped=*/false,
-                      0.0);
-  }
-  // ordering: relaxed — observability counter/snapshot; no other memory is
-  // published or consumed through it.
-  passthrough_answers_.fetch_add(1, std::memory_order_relaxed);
-  answer(Source::kPassthrough, {query_tokens});
-  response.degraded = true;
-  // ordering: relaxed — observability counter/snapshot; no other memory is
-  // published or consumed through it.
-  degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-  finish();
+  if (response.degraded) obs_.degraded->Increment();
   return response;
 }
 

@@ -16,7 +16,6 @@
 #include "serving/backends.h"
 #include "serving/circuit_breaker.h"
 #include "serving/kv_store.h"
-#include "serving/latency.h"
 
 namespace cyqr {
 
@@ -35,11 +34,11 @@ namespace cyqr {
 /// with its Status, and whether the request was degraded.
 ///
 /// Serve() is safe to call from N threads over one shared instance: the
-/// breaker, fault injectors, KV snapshot reads, metrics instruments, and
-/// the service's own tally counters are all atomic or immutable. The one
-/// caveat is the ModelBackend — the in-process DirectModelBackend decode
-/// is read-only over frozen parameters and therefore safe, but a stateful
-/// backend must provide its own synchronization.
+/// breaker, fault injectors, KV snapshot reads, and metrics instruments
+/// are all atomic or immutable. The one caveat is the ModelBackend — the
+/// in-process DirectModelBackend decode is read-only over frozen
+/// parameters and therefore safe, but a stateful backend must provide its
+/// own synchronization.
 class RewriteService {
  public:
   struct Options {
@@ -92,9 +91,10 @@ class RewriteService {
   /// Backend-seam constructor (tests, benches, fault injection). `cache`
   /// must be non-null; `model` and `rule_based` may be null (their rungs
   /// are then reported as skipped). All pointers must outlive the service.
-  /// When `metrics` is non-null the service registers its instruments
-  /// there and records per-rung counters, latencies, deadline headroom
-  /// and breaker transitions on every request (DESIGN.md "Observability").
+  /// The service registers its instruments in `metrics`, or in a registry
+  /// of its own when `metrics` is null, and records per-rung counters,
+  /// latencies, deadline headroom and breaker transitions on every request
+  /// (DESIGN.md "Observability").
   RewriteService(KvBackend* cache, ModelBackend* model,
                  const RuleBasedRewriter* rule_based, const Options& options,
                  MetricsRegistry* metrics = nullptr);
@@ -127,37 +127,29 @@ class RewriteService {
                              const RewriteOptions& rewrite_options,
                              RewriteKvStore* store);
 
-  const LatencyRecorder& cache_latency() const { return cache_latency_; }
-  const LatencyRecorder& model_latency() const { return model_latency_; }
+  /// Ladder counts, read from the service's instruments. Services that
+  /// share one registry share these counts.
   int64_t cache_hits() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return cache_hits_.load(std::memory_order_relaxed);
+    return rung_obs(Source::kCache).answers->Value();
   }
   int64_t model_calls() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return model_calls_.load(std::memory_order_relaxed);
+    return rung_obs(Source::kDirectModel).answers->Value() +
+           rung_obs(Source::kDirectModel).misses->Value();
   }
   int64_t model_failures() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return model_failures_.load(std::memory_order_relaxed);
+    return rung_obs(Source::kDirectModel).errors->Value();
   }
   int64_t rule_based_answers() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return rule_based_answers_.load(std::memory_order_relaxed);
+    return rung_obs(Source::kRuleBased).answers->Value();
   }
   int64_t passthrough_answers() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return passthrough_answers_.load(std::memory_order_relaxed);
+    return rung_obs(Source::kPassthrough).answers->Value();
   }
-  int64_t degraded_requests() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return degraded_requests_.load(std::memory_order_relaxed);
+  int64_t degraded_requests() const { return obs_.degraded->Value(); }
+  /// Latency of the rung's calls that ran (answers, misses and errors;
+  /// skips are not timed), sampled 1-in-8 once the series is hot.
+  const Histogram& rung_latency(Source source) const {
+    return *rung_obs(source).latency;
   }
   const CircuitBreaker& breaker() const { return breaker_; }
 
@@ -190,10 +182,26 @@ class RewriteService {
 
   void InitInstruments(MetricsRegistry* metrics);
 
-  /// Books one rung outcome into counters + latency histogram. OK means
-  /// the rung answered; NotFound is a clean miss; anything else an error.
-  void RecordRungOutcome(Source rung, const Status& status, bool skipped,
-                         double latency_millis);
+  const RungInstruments& rung_obs(Source source) const {
+    return obs_.rungs[static_cast<size_t>(source)];
+  }
+
+  /// Books one rung outcome, once, everywhere it is reported: the
+  /// Response's attempt trail and degraded_status, the span's detail, the
+  /// serving.rung flight event, and the per-rung counters and sampled
+  /// latency histogram. OK is an answer, NotFound a clean miss, and any
+  /// other Status an error; a non-null `skipped` (the span detail) means
+  /// the rung never ran. Returns true when the rung answered.
+  bool BookRung(Source rung, const Status& status, const char* skipped,
+                double latency_millis, TraceSpan* span, Response* response);
+
+  /// The model rung: budget gate, breaker gate, decode, and output checks.
+  /// Returns the rung's Status; sets `*skipped` to the span detail when a
+  /// gate kept the model from running.
+  [[nodiscard]] Status TryModel(const std::vector<std::string>& query_tokens,
+                                Deadline& deadline, Trace* trace,
+                                RewriteKvStore::Rewrites* out,
+                                const char** skipped);
 
   /// Detects breaker state transitions (after AllowRequest/Record*) and
   /// books them into the transition counters, state gauge, and trace.
@@ -209,17 +217,8 @@ class RewriteService {
   const RuleBasedRewriter* rule_based_;
   Options options_;
   CircuitBreaker breaker_;
-  LatencyRecorder cache_latency_;   // Histogram-backed: concurrency-safe.
-  LatencyRecorder model_latency_;
-  // Tally counters are relaxed atomics: they are statistics, not
-  // synchronization, and relaxed fetch_add never loses an increment.
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> model_calls_{0};
-  std::atomic<int64_t> model_failures_{0};
-  std::atomic<int64_t> rule_based_answers_{0};
-  std::atomic<int64_t> passthrough_answers_{0};
-  std::atomic<int64_t> degraded_requests_{0};
-  std::unique_ptr<Instruments> obs_;  // Null when metrics are disabled.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;  // When none was passed.
+  Instruments obs_;
   std::atomic<CircuitBreaker::State> last_breaker_state_{
       CircuitBreaker::State::kClosed};
 };

@@ -92,6 +92,16 @@ TEST(HistogramTest, EmptyHistogramIsZero) {
   EXPECT_DOUBLE_EQ(h.QuantileEstimate(0.5), 0.0);
 }
 
+TEST(HistogramTest, DefaultLatencyBoundsPercentiles) {
+  Histogram h(Histogram::DefaultLatencyBoundsMillis());
+  for (int i = 1; i <= 100; ++i) h.Observe(static_cast<double>(i));
+  EXPECT_EQ(h.Count(), 100);
+  EXPECT_NEAR(h.Mean(), 50.5, 1e-9);
+  EXPECT_NEAR(h.QuantileEstimate(0.5), 50.0, 1.5);
+  EXPECT_NEAR(h.QuantileEstimate(0.99), 99.0, 1.5);
+  EXPECT_DOUBLE_EQ(h.Max(), 100.0);
+}
+
 TEST(HistogramTest, MergeFromAddsEverything) {
   Histogram a({1.0, 2.0});
   Histogram b({1.0, 2.0});

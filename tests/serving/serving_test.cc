@@ -52,16 +52,6 @@ TEST(KvStoreTest, LoadMissingFileFails) {
   EXPECT_FALSE(store.Load("/nonexistent/path.tsv").ok());
 }
 
-TEST(LatencyRecorderTest, Percentiles) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) recorder.Record(static_cast<double>(i));
-  EXPECT_EQ(recorder.count(), 100);
-  EXPECT_NEAR(recorder.MeanMillis(), 50.5, 1e-9);
-  EXPECT_NEAR(recorder.PercentileMillis(0.5), 50.0, 1.5);
-  EXPECT_NEAR(recorder.PercentileMillis(0.99), 99.0, 1.5);
-  EXPECT_DOUBLE_EQ(recorder.MaxMillis(), 100.0);
-}
-
 // ---------------------------------------------------------------------------
 // Degradation-ladder tests, driven through the backend seams with fakes and
 // fault injection (no model training: fully deterministic).
@@ -192,7 +182,7 @@ TEST_F(LadderTest, NullModelReportsPassthroughNotModel) {
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"unknown", "query"}));
   EXPECT_EQ(service.model_calls(), 0);
-  EXPECT_EQ(service.model_latency().count(), 0);
+  EXPECT_EQ(service.rung_latency(Source::kDirectModel).Count(), 0);
   // The model rung is visible as skipped, not as a phantom call.
   bool saw_skipped_model = false;
   for (const auto& attempt : response.attempts) {
@@ -489,8 +479,8 @@ TEST_F(ServiceTest, CacheIsFasterThanModel) {
     service.Serve({"senior", "phone"});
     service.Serve({"cheap", "phone"});
   }
-  EXPECT_LT(service.cache_latency().MeanMillis(),
-            service.model_latency().MeanMillis());
+  EXPECT_LT(service.rung_latency(Source::kCache).Mean(),
+            service.rung_latency(Source::kDirectModel).Mean());
 }
 
 TEST_F(ServiceTest, MaxRewritesCapApplies) {

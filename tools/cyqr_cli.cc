@@ -665,7 +665,7 @@ int ServeTraffic(const FlagParser& flags) {
           });
     }
 
-    LatencyRecorder latency;
+    Histogram latency(Histogram::DefaultLatencyBoundsMillis());
     std::atomic<int64_t> by_source[4] = {};
     std::atomic<int64_t> next_request{0};
     std::vector<std::thread> clients;
@@ -682,7 +682,7 @@ int ServeTraffic(const FlagParser& flags) {
                   : Deadline::Infinite();
           const auto out = server.ServeBlocking(query, deadline);
           if (out.status.ok()) {
-            latency.Record(out.total_millis);
+            latency.Observe(out.total_millis);
             ++by_source[static_cast<int>(out.response.source)];
           }
         }
@@ -712,8 +712,8 @@ int ServeTraffic(const FlagParser& flags) {
                   static_cast<long long>(answered));
     }
     std::printf("latency:       p50 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-                latency.PercentileMillis(0.5),
-                latency.PercentileMillis(0.99), latency.MaxMillis());
+                latency.QuantileEstimate(0.5),
+                latency.QuantileEstimate(0.99), latency.Max());
     if (!flight_out.empty()) {
       // Overwrites the drain-time dump with the full post-replay journal.
       const Status journal =
@@ -730,7 +730,7 @@ int ServeTraffic(const FlagParser& flags) {
     return DumpMetricsFiles(metrics_out, metrics_prom);
   }
 
-  LatencyRecorder latency;
+  Histogram latency(Histogram::DefaultLatencyBoundsMillis());
   int64_t by_source[4] = {0, 0, 0, 0};
   for (int64_t i = 0; i < requests; ++i) {
     const auto& query =
@@ -742,14 +742,14 @@ int ServeTraffic(const FlagParser& flags) {
     if (i < print_trace) {
       Trace trace;
       const auto response = service.Serve(query, deadline, &trace);
-      latency.Record(response.latency_millis);
+      latency.Observe(response.latency_millis);
       ++by_source[static_cast<int>(response.source)];
       std::printf("trace[%lld] %s: %s\n", static_cast<long long>(i),
                   JoinStrings(query).c_str(), trace.PathString().c_str());
       continue;
     }
     const auto response = service.Serve(query, deadline, nullptr);
-    latency.Record(response.latency_millis);
+    latency.Observe(response.latency_millis);
     ++by_source[static_cast<int>(response.source)];
   }
   std::printf("served %lld requests under a %.0f ms budget\n",
@@ -766,8 +766,8 @@ int ServeTraffic(const FlagParser& flags) {
               static_cast<long long>(service.degraded_requests()),
               100.0 * service.degraded_requests() / requests);
   std::printf("latency:       p50 %.3f ms, p99 %.3f ms, max %.3f ms\n",
-              latency.PercentileMillis(0.5), latency.PercentileMillis(0.99),
-              latency.MaxMillis());
+              latency.QuantileEstimate(0.5), latency.QuantileEstimate(0.99),
+              latency.Max());
   if (!flight_out.empty()) {
     const Status journal = FlightRecorder::Global().WriteJournal(flight_out);
     if (!journal.ok()) {
