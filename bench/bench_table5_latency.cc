@@ -7,6 +7,12 @@
 // Shape to reproduce: the transformer ENCODER is competitive (one parallel
 // pass over the tokens) while the transformer DECODER is the bottleneck
 // (self-attention over all generated tokens at every step).
+//
+// The library's transformer Step caches each layer's keys and values, so
+// BM_DecoderTransformer measures the cached engine. The paper's uncached
+// cost model is BM_DecoderTransformerNoCache: the same loop, rebuilt from
+// the public teacher-forced Forward over the growing prefix (which also
+// re-encodes the source every step; BM_EncoderTransformer is that share).
 
 #include <benchmark/benchmark.h>
 
@@ -155,6 +161,32 @@ void BM_DecoderTransformer(benchmark::State& state) {
   RunBeamDecode(model, state);
 }
 BENCHMARK(BM_DecoderTransformer)->Unit(benchmark::kMillisecond);
+
+// Table V's paper-faithful transformer column: no K/V cache, so every step
+// runs the decoder over the whole prefix and keeps only the last row.
+void BM_DecoderTransformerNoCache(benchmark::State& state) {
+  Rng rng(6);
+  TransformerSeq2Seq model(TableVConfig(), rng);
+  model.SetTraining(false);
+  NoGradGuard no_grad;
+  const EncodedBatch src = PadBatch({SourceTokens()});
+  for (auto _ : state) {
+    std::vector<std::vector<int32_t>> beam(kBeam);
+    int32_t token = kBosId;
+    for (int64_t step = 0; step < kDecodeSteps; ++step) {
+      for (int64_t b = 0; b < kBeam; ++b) {
+        beam[b].push_back(token);
+        const Tensor logits = model.Forward(src, PadBatch({beam[b]}));
+        const float* last = logits.data() + step * kVocab;
+        const std::vector<float> next(last, last + kVocab);
+        benchmark::DoNotOptimize(next.data());
+        token = static_cast<int32_t>(kNumSpecialTokens +
+                                     (step % (kVocab / 2)));
+      }
+    }
+  }
+}
+BENCHMARK(BM_DecoderTransformerNoCache)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "nmt/transformer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/check.h"
@@ -8,20 +9,36 @@ namespace cyqr {
 
 namespace {
 
-/// Incremental decoding re-runs the decoder over the whole generated prefix
-/// each step (no KV cache). This mirrors the cost profile the paper reports
-/// in Table V: the transformer decoder performs self-attention over all
-/// target tokens at every step, which is why it is the serving bottleneck.
+/// Incremental decoding state: each decoder layer's cache and the number of
+/// positions fed so far. A Step computes one row per layer against the
+/// cache instead of re-running the decoder over the prefix. Clone() copies
+/// the handles: a Step replaces cached tensors rather than writing into
+/// them, so forked hypotheses share the heads of their common prefix.
 class TransformerDecodeState : public DecodeState {
  public:
-  Tensor memory;               // [1, Ts, D]
-  std::vector<float> src_mask; // [Ts]
-  std::vector<int32_t> prefix; // Tokens fed so far (starts with BOS).
+  std::vector<TransformerDecoderLayer::Cache> layers;
+  int64_t position = 0;
 
   std::unique_ptr<DecodeState> Clone() const override {
     return std::make_unique<TransformerDecodeState>(*this);
   }
 };
+
+/// `cached` [H, T, dh] with `row` [H, 1, dh] appended as position T; an
+/// undefined `cached` holds no positions.
+Tensor AppendPosition(const Tensor& cached, const Tensor& row) {
+  if (!cached.defined()) return row;
+  const int64_t h = row.shape().dim(0);
+  const int64_t dh = row.shape().dim(2);
+  const int64_t t = cached.shape().dim(1);
+  std::vector<float> out(static_cast<size_t>(h * (t + 1) * dh));
+  for (int64_t hi = 0; hi < h; ++hi) {
+    std::copy_n(cached.data() + hi * t * dh, t * dh,
+                out.data() + hi * (t + 1) * dh);
+    std::copy_n(row.data() + hi * dh, dh, out.data() + (hi * (t + 1) + t) * dh);
+  }
+  return Tensor::FromData(Shape{h, t + 1, dh}, std::move(out));
+}
 
 }  // namespace
 
@@ -70,10 +87,32 @@ Tensor TransformerDecoderLayer::Forward(
     const std::vector<float>& causal_mask,
     const std::vector<float>& memory_mask) const {
   Tensor h = norm1_.Forward(x);
-  Tensor y = Add(x, dropout_.Forward(self_attn_.Forward(h, h, causal_mask)));
+  return Block(x, h, self_attn_.ProjectKeysValues(h), causal_mask,
+               cross_attn_.ProjectKeysValues(memory), memory_mask);
+}
+
+Tensor TransformerDecoderLayer::Step(const Tensor& x, Cache& cache) const {
+  Tensor h = norm1_.Forward(x);
+  const MultiHeadAttention::KeyValueHeads row = self_attn_.ProjectKeysValues(h);
+  cache.self = {AppendPosition(cache.self.keys, row.keys),
+                AppendPosition(cache.self.values, row.values)};
+  // The new position sees every cached one, and a lone source has no
+  // padding: both masks would add only zeros, which leave softmax's bits
+  // unchanged.
+  return Block(x, h, cache.self, {}, cache.memory, {});
+}
+
+Tensor TransformerDecoderLayer::Block(
+    const Tensor& x, const Tensor& h,
+    const MultiHeadAttention::KeyValueHeads& self_kv,
+    const std::vector<float>& self_mask,
+    const MultiHeadAttention::KeyValueHeads& memory_kv,
+    const std::vector<float>& memory_mask) const {
+  Tensor y =
+      Add(x, dropout_.Forward(self_attn_.Attend(h, self_kv, self_mask)));
   Tensor h2 = norm2_.Forward(y);
   Tensor z =
-      Add(y, dropout_.Forward(cross_attn_.Forward(h2, memory, memory_mask)));
+      Add(y, dropout_.Forward(cross_attn_.Attend(h2, memory_kv, memory_mask)));
   Tensor h3 = norm3_.Forward(z);
   return Add(z, dropout_.Forward(ff_.Forward(h3)));
 }
@@ -124,15 +163,19 @@ TransformerSeq2Seq::TransformerSeq2Seq(const Seq2SeqConfig& config, Rng& rng)
   RegisterModule(&output_proj_);
 }
 
+Tensor TransformerSeq2Seq::EmbedTarget(const std::vector<int32_t>& ids,
+                                       int64_t batch, int64_t len,
+                                       int64_t offset) const {
+  const float scale = std::sqrt(static_cast<float>(config_.d_model));
+  Tensor x = Scale(tgt_embedding_.Forward(ids, batch, len), scale);
+  return dropout_.Forward(AddPositionalEncoding(x, offset));
+}
+
 Tensor TransformerSeq2Seq::Decode(const Tensor& memory,
                                   const std::vector<float>& src_mask,
                                   const EncodedBatch& tgt_in) const {
   const int64_t ts = memory.shape().dim(1);
-  const float scale = std::sqrt(static_cast<float>(config_.d_model));
-  Tensor x = Scale(
-      tgt_embedding_.Forward(tgt_in.ids, tgt_in.batch, tgt_in.max_len),
-      scale);
-  x = dropout_.Forward(AddPositionalEncoding(x));
+  Tensor x = EmbedTarget(tgt_in.ids, tgt_in.batch, tgt_in.max_len, 0);
   const std::vector<float> causal = MakeCausalMask(
       tgt_in.batch, config_.num_heads, tgt_in.max_len, tgt_in.mask);
   const std::vector<float> mem_mask = MakePaddingMask(
@@ -154,9 +197,11 @@ std::unique_ptr<DecodeState> TransformerSeq2Seq::StartDecode(
     const std::vector<int32_t>& src_ids) const {
   NoGradGuard no_grad;
   auto state = std::make_unique<TransformerDecodeState>();
-  const EncodedBatch src = PadBatch({src_ids});
-  state->memory = encoder_.Forward(src);
-  state->src_mask = src.mask;
+  const Tensor memory = encoder_.Forward(PadBatch({src_ids}));
+  for (const auto& layer : decoder_layers_) {
+    state->layers.push_back(
+        {{}, layer->cross_attention().ProjectKeysValues(memory)});
+  }
   return state;
 }
 
@@ -164,16 +209,13 @@ std::vector<float> TransformerSeq2Seq::Step(DecodeState& state,
                                             int32_t token) const {
   NoGradGuard no_grad;
   auto& s = static_cast<TransformerDecodeState&>(state);
-  s.prefix.push_back(token);
-  EncodedBatch tgt_in;
-  tgt_in.batch = 1;
-  tgt_in.max_len = static_cast<int64_t>(s.prefix.size());
-  tgt_in.ids = s.prefix;
-  tgt_in.mask.assign(s.prefix.size(), 1.0f);
-  Tensor logits = Decode(s.memory, s.src_mask, tgt_in);
-  const int64_t v = config_.vocab_size;
-  const float* last = logits.data() + (tgt_in.max_len - 1) * v;
-  return std::vector<float>(last, last + v);
+  Tensor x = EmbedTarget({token}, 1, 1, s.position++);
+  for (size_t i = 0; i < decoder_layers_.size(); ++i) {
+    x = decoder_layers_[i]->Step(x, s.layers[i]);
+  }
+  Tensor logits = output_proj_.Forward(final_norm_.Forward(x));
+  return std::vector<float>(logits.data(),
+                            logits.data() + config_.vocab_size);
 }
 
 void TransformerSeq2Seq::SetCaptureAttention(bool capture) {

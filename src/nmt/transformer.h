@@ -33,14 +33,36 @@ class TransformerDecoderLayer : public Module {
  public:
   TransformerDecoderLayer(const Seq2SeqConfig& config, Rng& rng);
 
+  /// What incremental decoding keeps per layer: the self-attention heads
+  /// of every position fed so far ([H, T, dh] each, empty before the first
+  /// Step) and the cross-attention heads of the encoder memory.
+  struct Cache {
+    MultiHeadAttention::KeyValueHeads self;
+    MultiHeadAttention::KeyValueHeads memory;
+  };
+
   Tensor Forward(const Tensor& x, const Tensor& memory,
                  const std::vector<float>& causal_mask,
                  const std::vector<float>& memory_mask) const;
+
+  /// Runs the block on one new position x [1, 1, D] of a single unpadded
+  /// sequence, appending its self-attention heads to `cache`. The result
+  /// is bit-identical to that position's row of Forward over the prefix.
+  Tensor Step(const Tensor& x, Cache& cache) const;
 
   MultiHeadAttention& cross_attention() { return cross_attn_; }
   const MultiHeadAttention& cross_attention() const { return cross_attn_; }
 
  private:
+  /// The rest of the block once `h` = norm1(x) is known: self-attention of
+  /// `h` over `self_kv`, cross-attention over `memory_kv`, feed-forward,
+  /// each with its residual. Forward and Step differ only in the heads.
+  Tensor Block(const Tensor& x, const Tensor& h,
+               const MultiHeadAttention::KeyValueHeads& self_kv,
+               const std::vector<float>& self_mask,
+               const MultiHeadAttention::KeyValueHeads& memory_kv,
+               const std::vector<float>& memory_mask) const;
+
   MultiHeadAttention self_attn_;
   MultiHeadAttention cross_attn_;
   FeedForward ff_;
@@ -86,8 +108,9 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   std::string name() const override { return "transformer"; }
 
   /// Enables attention capture on the last decoder layer's cross-attention
-  /// (Figure 6 heat maps). After a Step/Forward, LastCrossAttention()
-  /// returns the head-averaged [T_tgt, T_src] weights of batch element 0.
+  /// (Figure 6 heat maps). After a Forward, LastCrossAttention() returns
+  /// the head-averaged [T_tgt, T_src] weights of batch element 0; after a
+  /// Step, the one [1, T_src] row of the position it fed.
   void SetCaptureAttention(bool capture);
   const std::vector<float>& LastCrossAttention() const;
   int64_t LastAttentionRows() const;
@@ -98,6 +121,10 @@ class TransformerSeq2Seq : public Seq2SeqModel {
  private:
   Tensor Decode(const Tensor& memory, const std::vector<float>& src_mask,
                 const EncodedBatch& tgt_in) const;
+  /// Scaled target embeddings plus the positions from `offset`, through
+  /// dropout: [batch, len, D].
+  Tensor EmbedTarget(const std::vector<int32_t>& ids, int64_t batch,
+                     int64_t len, int64_t offset) const;
 
   Seq2SeqConfig config_;
   TransformerEncoder encoder_;

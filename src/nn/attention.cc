@@ -25,17 +25,25 @@ MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t num_heads,
 Tensor MultiHeadAttention::Forward(const Tensor& query,
                                    const Tensor& keys_values,
                                    const std::vector<float>& mask) const {
-  CYQR_CHECK_EQ(query.shape().rank(), 3);
+  return Attend(query, ProjectKeysValues(keys_values), mask);
+}
+
+MultiHeadAttention::KeyValueHeads MultiHeadAttention::ProjectKeysValues(
+    const Tensor& keys_values) const {
   CYQR_CHECK_EQ(keys_values.shape().rank(), 3);
+  return {SplitHeads(wk_.Forward(keys_values), num_heads_),
+          SplitHeads(wv_.Forward(keys_values), num_heads_)};
+}
+
+Tensor MultiHeadAttention::Attend(const Tensor& query, const KeyValueHeads& kv,
+                                  const std::vector<float>& mask) const {
+  CYQR_CHECK_EQ(query.shape().rank(), 3);
   const int64_t b = query.shape().dim(0);
   const int64_t tq = query.shape().dim(1);
-  const int64_t tk = keys_values.shape().dim(1);
+  const int64_t tk = kv.keys.shape().dim(1);
 
-  Tensor q = SplitHeads(wq_.Forward(query), num_heads_);        // [B*H,Tq,dh]
-  Tensor k = SplitHeads(wk_.Forward(keys_values), num_heads_);  // [B*H,Tk,dh]
-  Tensor v = SplitHeads(wv_.Forward(keys_values), num_heads_);  // [B*H,Tk,dh]
-
-  Tensor scores = MatMul(q, k, /*trans_a=*/false, /*trans_b=*/true);
+  Tensor q = SplitHeads(wq_.Forward(query), num_heads_);  // [B*H,Tq,dh]
+  Tensor scores = MatMul(q, kv.keys, /*trans_a=*/false, /*trans_b=*/true);
   scores = Scale(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
   if (!mask.empty()) {
     CYQR_CHECK_EQ(static_cast<int64_t>(mask.size()),
@@ -57,7 +65,7 @@ Tensor MultiHeadAttention::Forward(const Tensor& query,
     }
   }
 
-  Tensor ctx = MatMul(attn, v);  // [B*H, Tq, dh]
+  Tensor ctx = MatMul(attn, kv.values);  // [B*H, Tq, dh]
   return wo_.Forward(MergeHeads(ctx, num_heads_));
 }
 

@@ -15,20 +15,35 @@ namespace cyqr {
 /// (helpers in nmt/batch.h build causal and padding masks).
 ///
 /// When `capture_weights` is enabled, the post-softmax attention of the last
-/// Forward call is retained head-averaged as a [Tq x Tk] matrix for the
+/// Forward/Attend call is retained head-averaged as a [Tq x Tk] matrix for the
 /// first batch element — this feeds the paper's Figure 6 heat maps.
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int64_t dim, int64_t num_heads, Rng& rng);
 
+  /// Key and value heads, each [B*H, Tk, dh].
+  struct KeyValueHeads {
+    Tensor keys;
+    Tensor values;
+  };
+
   /// query: [B, Tq, D]; keys/values: [B, Tk, D]. Returns [B, Tq, D].
+  /// Same as Attend(query, ProjectKeysValues(keys_values), mask).
   Tensor Forward(const Tensor& query, const Tensor& keys_values,
                  const std::vector<float>& mask = {}) const;
 
+  /// Projects keys/values [B, Tk, D] to their heads.
+  KeyValueHeads ProjectKeysValues(const Tensor& keys_values) const;
+
+  /// Attends query [B, Tq, D] over heads already projected, e.g. the ones
+  /// incremental decoding caches. Returns [B, Tq, D].
+  Tensor Attend(const Tensor& query, const KeyValueHeads& kv,
+                const std::vector<float>& mask = {}) const;
+
   void set_capture_weights(bool capture) { capture_weights_ = capture; }
 
-  /// Head-averaged attention weights of the last Forward (batch element 0),
-  /// row-major [Tq, Tk]; empty until a captured Forward has run.
+  /// Head-averaged attention weights of the last Attend (batch element 0),
+  /// row-major [Tq, Tk]; empty until a captured Attend has run.
   const std::vector<float>& last_attention() const { return last_attention_; }
   int64_t last_tq() const { return last_tq_; }
   int64_t last_tk() const { return last_tk_; }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "decode/greedy.h"
@@ -148,18 +149,97 @@ TEST(TransformerTest, AttentionCaptureProducesDistribution) {
   model.SetTraining(false);
   model.SetCaptureAttention(true);
   NoGradGuard no_grad;
+  // A teacher-forced Forward captures one row per target position.
+  const TeacherForcedBatch tf = MakeTeacherForced({{9, 10}});
+  model.Forward(PadBatch({{4, 5, 6}}), tf.inputs);
+  const std::vector<float> forward_attn = model.LastCrossAttention();
+  ASSERT_EQ(model.LastAttentionCols(), 3);
+  ASSERT_EQ(model.LastAttentionRows(), tf.inputs.max_len);
+  ASSERT_EQ(forward_attn.size(), 9u);
+  for (int i = 0; i < 3; ++i) {
+    float row = 0.0f;
+    for (int j = 0; j < 3; ++j) row += forward_attn[i * 3 + j];
+    EXPECT_NEAR(row, 1.0f, 1e-4f);
+  }
+  // A Step captures the one row of the position it fed: here position 1,
+  // the same row the Forward captured for input token 9.
   auto state = model.StartDecode({4, 5, 6});
   model.Step(*state, kBosId);
   model.Step(*state, 9);
-  const auto& attn = model.LastCrossAttention();
+  ASSERT_EQ(model.LastAttentionRows(), 1);
   ASSERT_EQ(model.LastAttentionCols(), 3);
-  ASSERT_EQ(model.LastAttentionRows(), 2);
-  ASSERT_EQ(attn.size(), 6u);
-  for (int i = 0; i < 2; ++i) {
-    float row = 0.0f;
-    for (int j = 0; j < 3; ++j) row += attn[i * 3 + j];
-    EXPECT_NEAR(row, 1.0f, 1e-4f);
+  const auto& step_attn = model.LastCrossAttention();
+  ASSERT_EQ(step_attn.size(), 3u);
+  for (int j = 0; j < 3; ++j) EXPECT_EQ(step_attn[j], forward_attn[3 + j]);
+}
+
+// The paper-scaled query-to-title shape (Table II, CPU-scaled).
+Seq2SeqConfig PaperScaledShape() {
+  Seq2SeqConfig config;
+  config.vocab_size = 40;
+  config.d_model = 32;
+  config.num_heads = 2;
+  config.ff_hidden = 64;
+  config.num_layers = 4;
+  config.dropout = 0.1f;
+  return config;
+}
+
+bool SameBits(const std::vector<float>& a, const float* b) {
+  return std::memcmp(a.data(), b, sizeof(float) * a.size()) == 0;
+}
+
+// Feeds 20 positions through cached Steps and requires each Step's logits
+// to be the bytes of the last row of a teacher-forced Forward over the
+// same prefix. At position 6 a Clone() forks off and is fed a different
+// token; each branch must keep matching its own prefix.
+void ExpectCachedStepsMatchPrefixForward(const TransformerSeq2Seq& model) {
+  const std::vector<int32_t> src = {4, 5, 6, 7, 8, 9, 10};
+  const EncodedBatch src_batch = PadBatch({src});
+  const int64_t v = model.vocab_size();
+  struct Branch {
+    std::unique_ptr<DecodeState> state;
+    std::vector<int32_t> prefix;
+  };
+  std::vector<Branch> branches;
+  branches.push_back({model.StartDecode(src), {}});
+  for (int pos = 0; pos < 20; ++pos) {
+    if (pos == 6) {
+      branches.push_back({branches[0].state->Clone(), branches[0].prefix});
+    }
+    for (size_t b = 0; b < branches.size(); ++b) {
+      Branch& branch = branches[b];
+      const int32_t token =
+          pos == 0 ? kBosId
+                   : static_cast<int32_t>(
+                         kNumSpecialTokens +
+                         (pos * 7 + b * 13) % (v - kNumSpecialTokens));
+      branch.prefix.push_back(token);
+      const std::vector<float> step = model.Step(*branch.state, token);
+      const Tensor logits =
+          model.Forward(src_batch, PadBatch({branch.prefix}));
+      ASSERT_EQ(static_cast<int64_t>(step.size()), v);
+      ASSERT_TRUE(SameBits(step, logits.data() + pos * v))
+          << "branch " << b << " position " << pos;
+    }
   }
+}
+
+TEST(TransformerTest, CachedStepMatchesPrefixForwardInEvalMode) {
+  Rng rng(21);
+  TransformerSeq2Seq model(PaperScaledShape(), rng);
+  model.SetTraining(false);
+  ExpectCachedStepsMatchPrefixForward(model);
+}
+
+TEST(TransformerTest, CachedStepMatchesPrefixForwardInTrainingModeNoGrad) {
+  // How the cyclic training step decodes: the model stays in training
+  // mode and NoGradGuard turns dropout off.
+  Rng rng(22);
+  TransformerSeq2Seq model(PaperScaledShape(), rng);
+  model.SetTraining(true);
+  NoGradGuard no_grad;
+  ExpectCachedStepsMatchPrefixForward(model);
 }
 
 TEST(RnnTest, GruCellKeepsHiddenBounded) {
