@@ -4,10 +4,11 @@
 // that every worker count lands on bit-identical parameters — the
 // determinism contract the trainer's collective is built around.
 //
-// After the run the global metrics registry is dumped to
-// BENCH_training.json (override with --metrics-out=PATH, disable with
-// --metrics-out=); CI validates the file with
-// scripts/check_metrics_json.sh.
+// Every run books its trainer telemetry (step time, collective wait, the
+// coordinator's all-reduce and optimizer time) into the global metrics
+// registry, which is dumped after the run to BENCH_training.json (override
+// with --metrics-out=PATH, disable with --metrics-out=); CI validates the
+// file with scripts/check_metrics_json.sh.
 
 #include <cstdio>
 #include <cstring>
@@ -41,6 +42,7 @@ CycleTrainerOptions ScalingOptions(int64_t workers) {
   options.grad_shards = 8;
   options.workers = workers;
   options.seed = 99;
+  options.metrics = &MetricsRegistry::Global();
   return options;
 }
 

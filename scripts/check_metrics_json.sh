@@ -4,7 +4,10 @@
 # declare schema version 1, carry the counters/gauges/histograms sections,
 # and keep every histogram internally consistent (bucket counts sum to the
 # series count, the final bucket is the +Inf overflow, names follow the
-# cyqr_<layer>_<name>_<unit> convention).
+# cyqr_<layer>_<name>_<unit> convention). A data-parallel training snapshot
+# (one with a collective wait or a bench_train scaling gauge) must also book
+# the coordinator's gradient tail beside the collective wait: the
+# all-reduce and optimizer histograms, one observation per step each.
 #
 # Usage: scripts/check_metrics_json.sh SNAPSHOT.json [SNAPSHOT2.json ...]
 set -euo pipefail
@@ -67,6 +70,22 @@ for h in snap.get("histograms", []):
             f"{h.get('count')}")
     if any(b.get("count", 0) < 0 for b in buckets):
         errors.append(f"histogram {h['name']} has a negative bucket")
+
+hists = {h["name"]: h for h in snap.get("histograms", [])}
+wait = hists.get("cyqr_train_collective_wait_millis")
+scaling = any(g["name"].startswith("cyqr_train_workers")
+              for g in snap.get("gauges", []))
+if wait is not None or scaling:
+    for name in ("cyqr_train_collective_wait_millis",
+                 "cyqr_train_allreduce_millis",
+                 "cyqr_train_optimizer_millis"):
+        h = hists.get(name)
+        if h is None or not h.get("count"):
+            errors.append(f"data-parallel training snapshot lacks {name}")
+        elif wait is not None and h.get("count") != wait.get("count"):
+            errors.append(
+                f"{name} has {h.get('count')} observations, the collective "
+                f"wait {wait.get('count')}")
 
 if errors:
     for e in errors:

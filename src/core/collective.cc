@@ -110,25 +110,25 @@ Status Collective::AllReduceSum(int rank,
   CYQR_CHECK(slots != nullptr);
   CYQR_CHECK(rank >= 0 && rank < options_.world_size);
   const size_t num_slots = slots->size();
-  // Fold pairwise along the fixed slot-index tree. The schedule below is
-  // identical on every rank; only the `task % world_size == rank` filter
-  // differs, so *which thread* executes a combine varies with K but the
-  // combine set and order (hence the result bits) never do.
-  for (size_t stride = 1; stride < num_slots; stride *= 2) {
-    int64_t task = 0;
-    for (size_t j = 0; j + stride < num_slots; j += 2 * stride) {
-      if (task % options_.world_size == rank) {
-        std::vector<float>& dst = (*slots)[j];
-        const std::vector<float>& src = (*slots)[j + stride];
-        CYQR_CHECK_EQ(dst.size(), src.size());
-        for (size_t e = 0; e < dst.size(); ++e) dst[e] += src[e];
-      }
-      ++task;
-    }
-    // Publish this level's combines to the next level's readers.
-    CYQR_RETURN_IF_ERROR(Barrier());
+  const size_t n = num_slots == 0 ? 0 : (*slots)[0].size();
+  for (const std::vector<float>& slot : *slots) {
+    CYQR_CHECK_EQ(slot.size(), n);
   }
-  return Status::OK();
+  // Each element is folded pairwise along the fixed slot-index tree, the
+  // same additions in the same order whichever rank's slice holds it, so
+  // only *which thread* adds an element varies with K — never the bits.
+  const size_t world = static_cast<size_t>(options_.world_size);
+  const size_t begin = n * static_cast<size_t>(rank) / world;
+  const size_t end = n * static_cast<size_t>(rank + 1) / world;
+  for (size_t stride = 1; stride < num_slots; stride *= 2) {
+    for (size_t j = 0; j + stride < num_slots; j += 2 * stride) {
+      float* __restrict dst = (*slots)[j].data();
+      const float* __restrict src = (*slots)[j + stride].data();
+      for (size_t e = begin; e < end; ++e) dst[e] += src[e];
+    }
+  }
+  // Publish every rank's slice of slot 0 to every rank.
+  return Barrier();
 }
 
 double Collective::total_wait_millis() const {

@@ -13,14 +13,14 @@ namespace cyqr {
 
 /// Synchronization fabric for K synchronous data-parallel training ranks:
 /// a generation-counted barrier with a timeout, a fail-fast abort channel,
-/// and a deterministic tree all-reduce over caller-owned gradient slots.
+/// and a deterministic all-reduce over caller-owned gradient slots.
 ///
 /// Determinism contract. AllReduceSum folds the S slots pairwise along a
 /// fixed binary tree over *slot indices* — slot j absorbs slot j+stride
-/// for stride = 1, 2, 4, ... — so the floating-point summation order
-/// depends only on S, never on the world size or on which rank happens to
-/// execute a combine. A K=1 and a K=4 run over the same slot contents
-/// produce bit-identical sums in slot 0. (A rank-indexed tree would not:
+/// for stride = 1, 2, 4, ... — so every element's floating-point summation
+/// order depends only on S, never on the world size or on which rank
+/// folds it. A K=1 and a K=4 run over the same slot contents produce
+/// bit-identical sums in slot 0. (A rank-indexed tree would not:
 /// ((g0+g1)+(g2+g3)) and (((g0+g1)+g2)+g3) differ in float arithmetic.)
 ///
 /// Failure contract. Every blocking entry point returns a Status instead
@@ -31,11 +31,10 @@ namespace cyqr {
 /// collective is dead: every later call fails fast with the abort status.
 ///
 /// Thread safety. All control state lives behind `mu_`. The slots passed
-/// to AllReduceSum are intentionally *not* locked: between barriers each
-/// slot has exactly one writer (the rank that owns the combine task), and
-/// the barrier's mutex hand-off publishes every write of one tree level to
-/// the readers of the next, so the access pattern is race-free by
-/// ownership + barrier ordering.
+/// to AllReduceSum are intentionally *not* locked: each rank reads and
+/// writes only its own element range of every slot, and the closing
+/// barrier's mutex hand-off publishes every range to every rank, so the
+/// access pattern is race-free by ownership + barrier ordering.
 class Collective {
  public:
   struct Options {
@@ -70,12 +69,14 @@ class Collective {
   /// can never become a permanent hang. Returns the abort status.
   [[nodiscard]] Status StallUntilAborted();
 
-  /// Cooperative deterministic tree-sum of `*slots` into (*slots)[0].
-  /// Every rank must call with the same `slots` pointer; combine tasks at
-  /// each tree level are assigned round-robin over ranks, with a barrier
-  /// between levels. On return (OK) all ranks observe the completed sum.
-  /// The result bits depend only on slots->size() and the slot contents —
-  /// not on world size. All slots must have equal length.
+  /// Cooperative deterministic tree-sum of `*slots` into (*slots)[0], in
+  /// one pass and one barrier. Every rank must call with the same `slots`
+  /// pointer, after a barrier that published the slot contents. Rank r
+  /// folds elements [n*r/K, n*(r+1)/K) of all S slots along the slot
+  /// tree, then all ranks meet once; on return (OK) every rank observes
+  /// the completed sum. The result bits depend only on slots->size() and
+  /// the slot contents — not on world size. All slots must have equal
+  /// length.
   [[nodiscard]] Status AllReduceSum(int rank,
                                     std::vector<std::vector<float>>* slots);
 

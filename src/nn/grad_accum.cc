@@ -12,19 +12,22 @@ int64_t TotalParameterSize(const std::vector<Tensor>& params) {
   return total;
 }
 
-std::vector<float> FlattenGradients(const std::vector<Tensor>& params) {
-  std::vector<float> flat;
-  flat.reserve(static_cast<size_t>(TotalParameterSize(params)));
+void FlattenGradients(const std::vector<Tensor>& params,
+                      std::vector<float>* flat) {
+  CYQR_CHECK(flat != nullptr);
+  CYQR_CHECK_EQ(static_cast<int64_t>(flat->size()),
+                TotalParameterSize(params));
+  float* out = flat->data();
   for (const Tensor& p : params) {
     const float* grad = p.grad();
     const size_t n = static_cast<size_t>(p.NumElements());
     if (grad == nullptr) {
-      flat.insert(flat.end(), n, 0.0f);
+      std::memset(out, 0, n * sizeof(float));
     } else {
-      flat.insert(flat.end(), grad, grad + n);
+      std::memcpy(out, grad, n * sizeof(float));
     }
+    out += n;
   }
-  return flat;
 }
 
 void LoadGradients(const std::vector<Tensor>& params,

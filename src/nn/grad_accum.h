@@ -16,11 +16,14 @@ namespace cyqr {
 /// Total number of scalars across `params`.
 int64_t TotalParameterSize(const std::vector<Tensor>& params);
 
-/// Concatenates every parameter's gradient into one flat vector (in
-/// parameter order). Parameters whose gradient was never touched by
+/// Concatenates every parameter's gradient into `flat` (in parameter
+/// order), overwriting it. `flat` must already hold exactly
+/// TotalParameterSize(params) elements, so a training run allocates each
+/// gradient slot once. Parameters whose gradient was never touched by
 /// backward contribute zeros — a shard that skipped a sub-model still
 /// produces a full-length, summable vector.
-std::vector<float> FlattenGradients(const std::vector<Tensor>& params);
+void FlattenGradients(const std::vector<Tensor>& params,
+                      std::vector<float>* flat);
 
 /// Scatters `flat * scale` back into the parameters' gradient buffers
 /// (overwriting, not accumulating). `flat` must have exactly

@@ -43,7 +43,8 @@ double ClipGradNorm(const std::vector<Tensor>& params, double max_norm) {
   for (const Tensor& p : params) {
     const float* g = p.grad();
     if (g == nullptr) continue;
-    for (int64_t i = 0; i < p.NumElements(); ++i) {
+    const int64_t n = p.NumElements();
+    for (int64_t i = 0; i < n; ++i) {
       sq += static_cast<double>(g[i]) * g[i];
     }
   }
@@ -54,7 +55,8 @@ double ClipGradNorm(const std::vector<Tensor>& params, double max_norm) {
       Tensor t = p;
       if (!t.has_grad()) continue;
       float* g = t.mutable_grad();
-      for (int64_t i = 0; i < t.NumElements(); ++i) g[i] *= scale;
+      const int64_t n = t.NumElements();
+      for (int64_t i = 0; i < n; ++i) g[i] *= scale;
     }
   }
   return norm;

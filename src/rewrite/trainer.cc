@@ -153,13 +153,15 @@ struct StepPlan {
 /// shared side). The gradient slots and shard losses are deliberately
 /// unlocked: each slot/loss index has exactly one writer per step, and the
 /// collective's barriers hand the elements across threads with a proper
-/// happens-before edge.
+/// happens-before edge. The slots are allocated once, full length, and
+/// every step overwrites them in place.
 class DataParallelContext {
  public:
   DataParallelContext(const Collective::Options& collective_options,
-                      int64_t num_shards)
+                      int64_t num_shards, int64_t slot_size)
       : collective(collective_options),
-        slots(static_cast<size_t>(num_shards)),
+        slots(static_cast<size_t>(num_shards),
+              std::vector<float>(static_cast<size_t>(slot_size))),
         shard_losses(static_cast<size_t>(num_shards), 0.0) {}
 
   void PublishPlan(StepPlan next) {
@@ -216,7 +218,7 @@ Status ComputeOwnedShards(int rank, const StepPlan& plan, CycleModel& model,
     Tensor loss =
         ComputeBatchLoss(model, options, sub_batch, plan.cyclic, decode_rng);
     loss.Backward();
-    ctx.slots[static_cast<size_t>(j)] = FlattenGradients(params);
+    FlattenGradients(params, &ctx.slots[static_cast<size_t>(j)]);
     ctx.shard_losses[static_cast<size_t>(j)] = loss.item();
   }
   if (options.fault_plan.WorkerCrashesAt(rank, plan.step)) {
@@ -280,6 +282,12 @@ void CycleTrainer::InitInstruments(MetricsRegistry* metrics) {
                             Histogram::DefaultLatencyBoundsMillis());
   obs_->collective_wait =
       metrics->GetHistogram("cyqr_train_collective_wait_millis",
+                            Histogram::DefaultLatencyBoundsMillis());
+  obs_->allreduce =
+      metrics->GetHistogram("cyqr_train_allreduce_millis",
+                            Histogram::DefaultLatencyBoundsMillis());
+  obs_->optimizer =
+      metrics->GetHistogram("cyqr_train_optimizer_millis",
                             Histogram::DefaultLatencyBoundsMillis());
   obs_->tokens_per_sec = metrics->GetGauge("cyqr_train_tokens_per_sec");
   obs_->loss = metrics->GetGauge("cyqr_train_loss_value");
@@ -587,7 +595,8 @@ Status CycleTrainer::TrainDataParallel(
   Collective::Options collective_options;
   collective_options.world_size = static_cast<int>(options_.workers);
   collective_options.timeout_millis = options_.collective_timeout_millis;
-  DataParallelContext ctx(collective_options, options_.grad_shards);
+  DataParallelContext ctx(collective_options, options_.grad_shards,
+                          TotalParameterSize(model_->Parameters()));
   const int64_t num_shards = options_.grad_shards;
 
   // Ranks 1..K-1 are worker threads; the calling thread is rank 0, the
@@ -653,8 +662,10 @@ Status CycleTrainer::TrainDataParallel(
     // Compute barrier.
     run_status = TimedBarrier(ctx.collective, next_step);
     if (!run_status.ok()) break;
+    Stopwatch allreduce_watch;
     run_status = ctx.collective.AllReduceSum(0, &ctx.slots);
     if (!run_status.ok()) break;
+    const double allreduce_millis = allreduce_watch.ElapsedMillis();
 
     // The coordinator owns everything from here to the next plan barrier:
     // the optimizer step, the traces, evaluation, and checkpointing all
@@ -673,6 +684,7 @@ Status CycleTrainer::TrainDataParallel(
     }
     // Slot 0 holds the tree-reduced sum over all shards; average it into
     // the master gradients.
+    Stopwatch optimizer_watch;
     LoadGradients(model_->Parameters(), ctx.slots[0],
                   1.0f / static_cast<float>(num_shards));
     const double grad_norm =
@@ -694,6 +706,7 @@ Status CycleTrainer::TrainDataParallel(
       consecutive_anomalies_ = 0;
       optimizer_.Step();
     }
+    const double optimizer_millis = optimizer_watch.ElapsedMillis();
     if (obs_ != nullptr) {
       const double step_seconds = step_watch.ElapsedSeconds();
       obs_->steps->Increment();
@@ -706,6 +719,8 @@ Status CycleTrainer::TrainDataParallel(
       if (anomaly) obs_->skipped_batches->Increment();
       obs_->collective_wait->Observe(ctx.collective.total_wait_millis() -
                                      wait_before);
+      obs_->allreduce->Observe(allreduce_millis);
+      obs_->optimizer->Observe(optimizer_millis);
     }
     // Flight event: args = (step, step time in micros).
     static const int32_t kDpStepEndEvent =

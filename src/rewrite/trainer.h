@@ -170,6 +170,10 @@ class CycleTrainer {
     Histogram* step_time = nullptr;
     Histogram* checkpoint_write = nullptr;
     Histogram* collective_wait = nullptr;
+    // The coordinator's gradient tail of a data-parallel step: its slice
+    // of the all-reduce plus the closing barrier, then load + clip + Adam.
+    Histogram* allreduce = nullptr;
+    Histogram* optimizer = nullptr;
     Gauge* tokens_per_sec = nullptr;
     Gauge* loss = nullptr;
     Gauge* grad_norm = nullptr;

@@ -6,6 +6,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -15,18 +16,18 @@ namespace cyqr {
 
 namespace {
 
-/// Receive timeout on every accepted connection: a client that connects and
-/// sends nothing frees its pool thread after this long, so idle clients can
-/// neither starve scrapes nor keep Stop() waiting.
-constexpr int kReadTimeoutSeconds = 1;
-
-/// Reads from `fd` until the end of the HTTP header block (CRLFCRLF) or
-/// `max_bytes`; the pages are GET-only, so the body (if any) is ignored.
+/// Reads from `fd` until the end of the HTTP header block (CRLFCRLF),
+/// `max_bytes`, or the total read budget, which is checked between
+/// receives; the pages are GET-only, so the body (if any) is ignored.
 std::string ReadRequestHead(int fd, size_t max_bytes) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(HttpEndpoint::kReadBudgetMillis);
   std::string head;
   char buf[1024];
   while (head.size() < max_bytes &&
-         head.find("\r\n\r\n") == std::string::npos) {
+         head.find("\r\n\r\n") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     head.append(buf, static_cast<size_t>(n));
@@ -172,7 +173,8 @@ void HttpEndpoint::AcceptLoop() {
       continue;  // Transient (EINTR, aborted connection): keep accepting.
     }
     timeval read_timeout{};
-    read_timeout.tv_sec = kReadTimeoutSeconds;
+    read_timeout.tv_sec = kReadTimeoutMillis / 1000;
+    read_timeout.tv_usec = kReadTimeoutMillis % 1000 * 1000;
     ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
                  sizeof(read_timeout));
     ThreadPool::Job job;

@@ -26,8 +26,10 @@ namespace cyqr {
 /// connection is handed to a small ThreadPool whose bounded queue sheds
 /// excess connections with a 503 — a scrape storm cannot pile up
 /// unbounded work (the same overload discipline as the serving path).
-/// Every connection reads under a fixed 1 s receive timeout, so a client
-/// that connects and sends nothing cannot hold a pool thread.
+/// Every connection reads its request head under a fixed receive timeout
+/// and a fixed total budget (kReadTimeoutMillis, kReadBudgetMillis), so a
+/// client that connects and sends nothing, or drips its bytes, cannot hold
+/// a pool thread.
 ///
 /// Lifecycle: Start() binds/listens and spawns the accept thread; Stop()
 /// shuts the listen socket down (unblocking accept), joins the thread,
@@ -36,6 +38,14 @@ class HttpEndpoint {
  public:
   /// Handles one request path, returning the page to send back.
   using Handler = std::function<IntrospectPage(const std::string& path)>;
+
+  /// Longest wait for any one receive of a request head: a client that
+  /// sends nothing frees its pool thread after this long.
+  static constexpr int kReadTimeoutMillis = 1000;
+  /// Total time a connection may take to send its request head: a client
+  /// that drips a byte just inside every receive timeout is cut here, at
+  /// most one receive timeout late.
+  static constexpr int kReadBudgetMillis = 2000;
 
   struct Options {
     /// Port to listen on (loopback). 0 picks an ephemeral port — read it

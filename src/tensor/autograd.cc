@@ -49,7 +49,8 @@ double GradCheck(const std::function<Tensor()>& fn, Tensor input, float eps) {
 
   double max_err = 0.0;
   float* x = input.data();
-  for (int64_t i = 0; i < input.NumElements(); ++i) {
+  const int64_t n = input.NumElements();
+  for (int64_t i = 0; i < n; ++i) {
     const float saved = x[i];
     x[i] = saved + eps;
     const double up = fn().item();

@@ -17,12 +17,6 @@ int64_t Shape::dim(int i) const {
   return dims_[i];
 }
 
-int64_t Shape::NumElements() const {
-  int64_t n = 1;
-  for (int64_t d : dims_) n *= d;
-  return n;
-}
-
 std::string Shape::ToString() const {
   std::string out = "[";
   for (size_t i = 0; i < dims_.size(); ++i) {

@@ -21,7 +21,11 @@ class Shape {
   int64_t dim(int i) const;
   /// Last dimension; 1 for scalars.
   int64_t back() const { return dims_.empty() ? 1 : dims_.back(); }
-  int64_t NumElements() const;
+  int64_t NumElements() const {
+    int64_t n = 1;
+    for (int64_t d : dims_) n *= d;
+    return n;
+  }
 
   const std::vector<int64_t>& dims() const { return dims_; }
 

@@ -39,11 +39,6 @@ Tensor Tensor::Randn(const Shape& shape, Rng& rng, float stddev) {
 
 Tensor Tensor::Scalar(float value) { return Full(Shape{}, value); }
 
-const Shape& Tensor::shape() const {
-  CYQR_CHECK(impl_ != nullptr);
-  return impl_->shape;
-}
-
 float* Tensor::data() {
   CYQR_CHECK(impl_ != nullptr);
   return impl_->data.data();

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/check.h"
 #include "core/rng.h"
 #include "tensor/shape.h"
 
@@ -52,7 +53,10 @@ class Tensor {
   static Tensor Scalar(float value);
 
   bool defined() const { return impl_ != nullptr; }
-  const Shape& shape() const;
+  const Shape& shape() const {
+    CYQR_CHECK(impl_ != nullptr);
+    return impl_->shape;
+  }
   int64_t NumElements() const { return shape().NumElements(); }
 
   float* data();

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "core/collective.h"
+#include "core/rng.h"
 #include "core/status.h"
 
 namespace cyqr {
@@ -92,9 +96,9 @@ TEST(CollectiveTest, StallWithNoPeersSelfAborts) {
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
 }
 
-/// The reference fold: the same fixed slot-index tree the collective
-/// schedules, executed sequentially. AllReduceSum must match this bit for
-/// bit at every world size.
+/// The reference fold: the slot-index tree the collective once ran level
+/// by level, a barrier between levels, executed sequentially here.
+/// AllReduceSum must match this bit for bit at every world size.
 std::vector<float> ReferenceTreeSum(std::vector<std::vector<float>> slots) {
   for (size_t stride = 1; stride < slots.size(); stride *= 2) {
     for (size_t j = 0; j + stride < slots.size(); j += 2 * stride) {
@@ -106,40 +110,82 @@ std::vector<float> ReferenceTreeSum(std::vector<std::vector<float>> slots) {
   return slots[0];
 }
 
-std::vector<std::vector<float>> MakeSlots(int num_slots) {
-  // Values chosen to make float addition order observable: summing these
-  // in a different order changes the low-order bits.
-  std::vector<std::vector<float>> slots;
-  for (int j = 0; j < num_slots; ++j) {
-    slots.push_back({1.0f + 1e-7f * static_cast<float>(j * j),
-                     -3.7f * static_cast<float>(j) + 0.1f,
-                     1e-8f * static_cast<float>(j + 1), 42.0f});
+/// Slot contents for one all-reduce call. Magnitudes span ten decades, so
+/// summing in any other order changes the low-order bits.
+std::vector<std::vector<float>> MakeSlots(int num_slots, size_t elements,
+                                          uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> slots(static_cast<size_t>(num_slots));
+  for (std::vector<float>& slot : slots) {
+    for (size_t e = 0; e < elements; ++e) {
+      const float scale = std::pow(10.0f, static_cast<float>(e % 11) - 5.0f);
+      slot.push_back(static_cast<float>(rng.NextGaussian()) * scale);
+    }
   }
   return slots;
 }
 
-std::vector<float> RunAllReduce(int world_size, int num_slots) {
+/// Runs `rounds` all-reduce calls on one collective and one set of slot
+/// buffers, refilled in place before each call the way the trainer reuses
+/// its gradient slots. Returns slot 0 after each call; fails the test if a
+/// call cost more than one barrier.
+std::vector<std::vector<float>> RunAllReduce(int world_size, int num_slots,
+                                             size_t elements, int rounds) {
   Collective collective(Opts(world_size));
-  std::vector<std::vector<float>> slots = MakeSlots(num_slots);
+  std::vector<std::vector<float>> slots(
+      static_cast<size_t>(num_slots), std::vector<float>(elements));
   std::vector<std::thread> ranks;
   for (int r = 1; r < world_size; ++r) {
-    ranks.emplace_back([&collective, &slots, r] {
-      ASSERT_TRUE(collective.AllReduceSum(r, &slots).ok());
+    ranks.emplace_back([&collective, &slots, r, rounds] {
+      for (int round = 0; round < rounds; ++round) {
+        ASSERT_TRUE(collective.Barrier().ok());  // Slots are filled.
+        ASSERT_TRUE(collective.AllReduceSum(r, &slots).ok());
+      }
     });
   }
-  EXPECT_TRUE(collective.AllReduceSum(0, &slots).ok());
+  std::vector<std::vector<float>> sums;
+  for (int round = 0; round < rounds; ++round) {
+    const std::vector<std::vector<float>> fill =
+        MakeSlots(num_slots, elements, static_cast<uint64_t>(round));
+    for (size_t j = 0; j < slots.size(); ++j) {
+      std::copy(fill[j].begin(), fill[j].end(), slots[j].begin());
+    }
+    EXPECT_TRUE(collective.Barrier().ok());
+    const int64_t generation = collective.generation();
+    EXPECT_TRUE(collective.AllReduceSum(0, &slots).ok());
+    EXPECT_LE(collective.generation() - generation, 1)
+        << "world=" << world_size << " slots=" << num_slots;
+    sums.push_back(slots[0]);
+  }
   for (std::thread& t : ranks) t.join();
-  return slots[0];
+  return sums;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 TEST(CollectiveTest, AllReduceSumIsBitIdenticalAcrossWorldSizes) {
-  for (const int num_slots : {1, 2, 4, 5, 8}) {
-    const std::vector<float> reference =
-        ReferenceTreeSum(MakeSlots(num_slots));
-    for (const int world : {1, 2, 3, 4}) {
-      if (world > num_slots) continue;
-      EXPECT_EQ(RunAllReduce(world, num_slots), reference)
-          << "world=" << world << " slots=" << num_slots;
+  constexpr int kRounds = 3;
+  // Element counts 1, 3 and 1001 leave some ranks with an empty or a
+  // one-element-longer slice.
+  for (const size_t elements :
+       {size_t{1}, size_t{3}, size_t{4}, size_t{1001}}) {
+    for (const int num_slots : {1, 2, 4, 5, 8}) {
+      for (const int world : {1, 2, 3, 4}) {
+        if (world > num_slots) continue;
+        const std::vector<std::vector<float>> sums =
+            RunAllReduce(world, num_slots, elements, kRounds);
+        ASSERT_EQ(sums.size(), static_cast<size_t>(kRounds));
+        for (int round = 0; round < kRounds; ++round) {
+          const std::vector<float> reference = ReferenceTreeSum(
+              MakeSlots(num_slots, elements, static_cast<uint64_t>(round)));
+          EXPECT_TRUE(SameBits(sums[static_cast<size_t>(round)], reference))
+              << "world=" << world << " slots=" << num_slots
+              << " elements=" << elements << " round=" << round;
+        }
+      }
     }
   }
 }

@@ -3,12 +3,91 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "core/rng.h"
 #include "nn/schedule.h"
 #include "tensor/ops.h"
 
 namespace cyqr {
 namespace {
+
+/// The scalar update loop Adam::Step ran before it was vectorized, kept as
+/// the oracle: the fast loop must reproduce it bit for bit.
+struct ReferenceAdam {
+  Adam::Options options;
+  int64_t step = 0;
+  std::vector<std::vector<float>> x, m, v;
+
+  void Step(const std::vector<std::vector<float>>& grads) {
+    ++step;
+    const float b1 = options.beta1;
+    const float b2 = options.beta2;
+    const float bias1 = 1.0f - std::pow(b1, static_cast<float>(step));
+    const float bias2 = 1.0f - std::pow(b2, static_cast<float>(step));
+    for (size_t i = 0; i < x.size(); ++i) {
+      const std::vector<float>& g = grads[i];
+      for (size_t j = 0; j < x[i].size(); ++j) {
+        m[i][j] = b1 * m[i][j] + (1.0f - b1) * g[j];
+        v[i][j] = b2 * v[i][j] + (1.0f - b2) * g[j] * g[j];
+        const float mhat = m[i][j] / bias1;
+        const float vhat = v[i][j] / bias2;
+        x[i][j] -= options.learning_rate * mhat /
+                   (std::sqrt(vhat) + options.eps);
+      }
+    }
+  }
+};
+
+bool SameBits(const float* a, const std::vector<float>& b) {
+  return std::memcmp(a, b.data(), b.size() * sizeof(float)) == 0;
+}
+
+/// Gradient values that stress the update: exact zeros, magnitudes whose
+/// square underflows or dwarfs the rest, and ordinary Gaussians.
+float EdgeGradient(Rng& rng) {
+  static constexpr float kEdges[] = {0.0f, 1e-30f, -1e-30f, 1e3f, -1e3f};
+  const uint64_t pick = rng.NextBelow(10);
+  if (pick < 5) return kEdges[pick];
+  return static_cast<float>(rng.NextGaussian());
+}
+
+TEST(AdamTest, VectorizedStepMatchesScalarOracleBitForBit) {
+  Rng rng(42);
+  std::vector<Tensor> params;
+  ReferenceAdam oracle;
+  for (const int64_t size : {1, 7, 33, 4096}) {
+    Tensor p = Tensor::Randn(Shape{size}, rng);
+    p.set_requires_grad(true);
+    params.push_back(p);
+    oracle.x.emplace_back(p.data(), p.data() + size);
+    oracle.m.emplace_back(size, 0.0f);
+    oracle.v.emplace_back(size, 0.0f);
+  }
+  Adam adam(params, oracle.options);
+  for (int step = 1; step <= 50; ++step) {
+    // A Noam-like learning rate that moves every step.
+    const float lr = 1e-3f * static_cast<float>(1 + step % 7);
+    adam.set_learning_rate(lr);
+    oracle.options.learning_rate = lr;
+    std::vector<std::vector<float>> grads;
+    for (Tensor& p : params) {
+      float* g = p.mutable_grad();
+      for (int64_t j = 0; j < p.NumElements(); ++j) g[j] = EdgeGradient(rng);
+      grads.emplace_back(g, g + p.NumElements());
+    }
+    adam.Step();
+    oracle.Step(grads);
+  }
+  const AdamState state = adam.ExportState();
+  EXPECT_EQ(state.step, oracle.step);
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(SameBits(params[i].data(), oracle.x[i])) << "param " << i;
+    EXPECT_TRUE(SameBits(state.m[i].data(), oracle.m[i])) << "m " << i;
+    EXPECT_TRUE(SameBits(state.v[i].data(), oracle.v[i])) << "v " << i;
+  }
+}
 
 TEST(AdamTest, MinimizesQuadratic) {
   Tensor x = Tensor::FromData(Shape{2}, {5.0f, -3.0f});

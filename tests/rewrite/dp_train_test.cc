@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/checksum.h"
 #include "rewrite/checkpoint.h"
 #include "rewrite/trainer.h"
 
@@ -118,6 +119,39 @@ TEST(DpTrainTest, WorkerCountNeverChangesTheTrajectory) {
       EXPECT_EQ(run.trainer->curve()[i].q2t_perplexity,
                 baseline.trainer->curve()[i].q2t_perplexity);
     }
+  }
+}
+
+/// FNV-1a over the parameter bytes, then the grad-norm trace's bytes.
+uint64_t TrainingDigest(const CycleModel& model, const CycleTrainer& trainer) {
+  Fnv1aHasher hasher;
+  const std::vector<float> params = FlattenParams(model);
+  hasher.Update(params.data(), params.size() * sizeof(float));
+  const std::vector<double>& norms = trainer.grad_norms();
+  hasher.Update(norms.data(), norms.size() * sizeof(double));
+  return hasher.Digest();
+}
+
+TEST(DpTrainTest, PaperScaledRunMatchesGoldenDigest) {
+  // The K=1 == K=4 checks above cannot see a change that moves every
+  // worker count's bits the same way; this pins the bits themselves. A
+  // deliberate change to the training arithmetic updates the constant.
+  constexpr uint64_t kGoldenDigest = 0x164eaf8ab844ce89ull;
+  const TinyWorld world = MakeTinyWorld();
+  for (const int64_t workers : {1, 4}) {
+    CycleTrainerOptions options = DpOptions(workers);
+    options.eval_every = 0;
+    Rng rng(7);
+    CycleConfig config = PaperScaledConfig(world.vocab.size());
+    config.max_title_len = 8;
+    config.max_query_len = 6;
+    CycleModel model(config, rng);
+    CycleTrainer trainer(&model, world.pairs, options);
+    ASSERT_TRUE(trainer.Train({}).ok());
+    ASSERT_EQ(trainer.grad_norms().size(), 12u);
+    const uint64_t digest = TrainingDigest(model, trainer);
+    EXPECT_EQ(digest, kGoldenDigest)
+        << "K=" << workers << " actual digest 0x" << std::hex << digest;
   }
 }
 

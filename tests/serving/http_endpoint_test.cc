@@ -4,6 +4,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -197,6 +198,73 @@ TEST(HttpEndpointTest, IdleClientsDoNotBlockScrapes) {
   // otherwise keep Stop() waiting on them forever.
   ::close(idle_a);
   ::close(idle_b);
+  endpoint.Stop();
+}
+
+/// Connects and sends a never-ending request head one byte every 900 ms,
+/// just inside the endpoint's receive timeout, until the endpoint closes
+/// the connection. Returns how long the connection lived, or -1 s if it
+/// outlived `give_up` or failed to connect.
+std::chrono::milliseconds DripUntilClosed(int port,
+                                          std::chrono::milliseconds give_up) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto lived = [start] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - start);
+  };
+  const int fd = Connect(port);
+  if (fd < 0) return std::chrono::milliseconds(-1000);
+  const std::string head = "GET /metrics HTTP/1.1\r\nX-Drip: ";
+  for (size_t i = 0; lived() < give_up; ++i) {
+    const char byte = i < head.size() ? head[i] : 'x';
+    (void)::send(fd, &byte, 1, MSG_NOSIGNAL);
+    pollfd poll_fd{fd, POLLIN, 0};
+    if (::poll(&poll_fd, 1, /*timeout=*/900) > 0) {
+      // The endpoint answered and closed: read through to its EOF.
+      char buf[1024];
+      while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+      }
+      const std::chrono::milliseconds result = lived();
+      ::close(fd);
+      return result;
+    }
+  }
+  ::close(fd);
+  return std::chrono::milliseconds(-1000);
+}
+
+TEST(HttpEndpointTest, DrippingClientsAreCutAtTheReadBudget) {
+  // Two clients that drip one byte every 0.9 s never trip the receive
+  // timeout and hold both pool threads; the total read budget must still
+  // free them, so a scrape queued behind them is answered.
+  HttpEndpoint::Options options;
+  options.port = 0;
+  options.num_threads = 2;
+  HttpEndpoint endpoint(options);
+  endpoint.AddRoute("/metrics", [](const std::string&) {
+    return IntrospectPage{200, "text/plain", "ok"};
+  });
+  ASSERT_TRUE(endpoint.Start().ok());
+  const std::chrono::milliseconds cut_by(HttpEndpoint::kReadBudgetMillis +
+                                         HttpEndpoint::kReadTimeoutMillis);
+  const int port = endpoint.port();
+  std::future<std::chrono::milliseconds> drip_a = std::async(
+      std::launch::async, DripUntilClosed, port, 4 * cut_by);
+  std::future<std::chrono::milliseconds> drip_b = std::async(
+      std::launch::async, DripUntilClosed, port, 4 * cut_by);
+  ASSERT_TRUE(WaitForConnections(endpoint, 2));
+
+  const std::string response =
+      HttpGet(port, "/metrics", /*timeout_seconds=*/10);
+  EXPECT_EQ(StatusLine(response), "HTTP/1.1 200 OK");
+  // Scheduling slack on top of the bound: the drips start a few
+  // milliseconds before the endpoint's clock does.
+  const std::chrono::milliseconds slack(250);
+  for (std::future<std::chrono::milliseconds>* drip : {&drip_a, &drip_b}) {
+    const std::chrono::milliseconds lived = drip->get();
+    EXPECT_GE(lived.count(), 0) << "drip was never closed";
+    EXPECT_LE(lived, cut_by + slack);
+  }
   endpoint.Stop();
 }
 
