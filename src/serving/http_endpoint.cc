@@ -6,6 +6,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -16,33 +17,48 @@ namespace cyqr {
 
 namespace {
 
-/// Reads from `fd` until the end of the HTTP header block (CRLFCRLF),
-/// `max_bytes`, or the total read budget, which is checked between
-/// receives; the pages are GET-only, so the body (if any) is ignored.
-std::string ReadRequestHead(int fd, size_t max_bytes) {
+/// Reads the request head from `fd`: every byte through the blank line that
+/// ends it (CRLFCRLF). Returns "" when no whole head arrives within
+/// kMaxHeadBytes and the total read budget, which is checked between
+/// receives, or before a receive times out or the client closes. The pages
+/// are GET-only, so bytes after the head are ignored.
+std::string ReadRequestHead(int fd) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(HttpEndpoint::kReadBudgetMillis);
-  std::string head;
+  std::string data;
   char buf[1024];
-  while (head.size() < max_bytes &&
-         head.find("\r\n\r\n") == std::string::npos &&
-         std::chrono::steady_clock::now() < deadline) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    head.append(buf, static_cast<size_t>(n));
+  for (;;) {
+    const size_t end = data.find("\r\n\r\n");
+    if (end != std::string::npos) return data.substr(0, end + 4);
+    const size_t room = HttpEndpoint::kMaxHeadBytes - data.size();
+    if (room == 0 || std::chrono::steady_clock::now() >= deadline) return "";
+    const ssize_t n = ::recv(fd, buf, std::min(sizeof(buf), room), 0);
+    if (n <= 0) return "";
+    data.append(buf, static_cast<size_t>(n));
   }
-  return head;
 }
 
-/// "GET /metrics HTTP/1.1" -> "/metrics"; empty string when the request
-/// line is malformed or not a GET.
+/// "GET /metrics HTTP/1.1\r\n..." -> "/metrics". The request line must be
+/// exactly `GET <path> HTTP/1.0` or `GET <path> HTTP/1.1`, with a path that
+/// starts with '/' and holds no space or control byte; any other head
+/// (including "") gives "".
 std::string ParseGetPath(const std::string& head) {
-  if (head.rfind("GET ", 0) != 0) return "";
+  const size_t line_end = head.find("\r\n");
+  if (line_end == std::string::npos || head.rfind("GET /", 0) != 0) {
+    return "";
+  }
   const size_t path_begin = 4;
   const size_t path_end = head.find(' ', path_begin);
-  if (path_end == std::string::npos) return "";
-  return head.substr(path_begin, path_end - path_begin);
+  if (path_end == std::string::npos || path_end > line_end) return "";
+  const std::string version =
+      head.substr(path_end + 1, line_end - path_end - 1);
+  if (version != "HTTP/1.0" && version != "HTTP/1.1") return "";
+  const std::string path = head.substr(path_begin, path_end - path_begin);
+  for (const char ch : path) {
+    if (static_cast<unsigned char>(ch) < 0x21 || ch == 0x7f) return "";
+  }
+  return path;
 }
 
 void SendAll(int fd, const std::string& data) {
@@ -57,6 +73,7 @@ void SendAll(int fd, const std::string& data) {
 
 void SendPage(int fd, const IntrospectPage& page) {
   const char* reason = page.status_code == 200   ? "OK"
+                       : page.status_code == 400 ? "Bad Request"
                        : page.status_code == 404 ? "Not Found"
                        : page.status_code == 503 ? "Service Unavailable"
                                                  : "Error";
@@ -197,13 +214,12 @@ void HttpEndpoint::HandleConnection(int fd) {
   // ordering: relaxed — observability counter/snapshot; no other memory is
   // published or consumed through it.
   requests_.fetch_add(1, std::memory_order_relaxed);
-  const std::string head = ReadRequestHead(fd, 8192);
-  const std::string path = ParseGetPath(head);
+  const std::string path = ParseGetPath(ReadRequestHead(fd));
   IntrospectPage page;
   if (path.empty()) {
-    page.status_code = 404;
+    page.status_code = 400;
     page.content_type = "text/plain";
-    page.body = "only GET requests are supported\n";
+    page.body = "expected a whole GET request head\n";
   } else {
     Handler handler;
     {

@@ -29,7 +29,10 @@ namespace cyqr {
 /// Every connection reads its request head under a fixed receive timeout
 /// and a fixed total budget (kReadTimeoutMillis, kReadBudgetMillis), so a
 /// client that connects and sends nothing, or drips its bytes, cannot hold
-/// a pool thread.
+/// a pool thread. Only a whole head, ending in a blank line within
+/// kMaxHeadBytes, whose request line is `GET <path> HTTP/1.0` or
+/// `HTTP/1.1`, is answered; anything else gets 400 Bad Request and is
+/// closed.
 ///
 /// Lifecycle: Start() binds/listens and spawns the accept thread; Stop()
 /// shuts the listen socket down (unblocking accept), joins the thread,
@@ -46,6 +49,8 @@ class HttpEndpoint {
   /// that drips a byte just inside every receive timeout is cut here, at
   /// most one receive timeout late.
   static constexpr int kReadBudgetMillis = 2000;
+  /// Longest request head read, blank line included.
+  static constexpr size_t kMaxHeadBytes = 8192;
 
   struct Options {
     /// Port to listen on (loopback). 0 picks an ephemeral port — read it

@@ -7,6 +7,7 @@
 #include "core/check.h"
 #include "core/math.h"
 #include "tensor/autograd.h"
+#include "tensor/gemm.h"
 
 namespace cyqr {
 
@@ -19,137 +20,6 @@ void AccumInto(TensorImpl& in, const float* delta, size_t n) {
   in.EnsureGrad();
   CYQR_CHECK_EQ(in.grad.size(), n);
   for (size_t i = 0; i < n; ++i) in.grad[i] += delta[i];
-}
-
-/// Four floats in one SSE register (GCC vector extension; baseline x86-64,
-/// no ISA flags). Each lane is plain IEEE float arithmetic, so a lane adds
-/// and multiplies exactly as the scalar code would.
-using Float4 = float __attribute__((vector_size(16)));
-
-Float4 Load4(const float* p) {
-  Float4 v = {};
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void Store4(float* p, Float4 v) { std::memcpy(p, &v, sizeof(v)); }
-
-/// op(A) rows as the kernels read them: element (r, p) of the rows starting
-/// at `a` is a[r * row + p * col].
-struct RowsOfA {
-  const float* a;
-  int64_t row;
-  int64_t col;
-};
-
-/// C[0..4, 0..8) += the 4 rows of op(A) times panel[:, 0..8). The 32 sums
-/// stay in eight registers for the whole k loop.
-void Block4x8(RowsOfA a, const float* panel, int64_t n, int64_t k,
-              float* c) {
-  float* c0 = c;
-  float* c1 = c0 + n;
-  float* c2 = c1 + n;
-  float* c3 = c2 + n;
-  Float4 s00 = Load4(c0), s01 = Load4(c0 + 4);
-  Float4 s10 = Load4(c1), s11 = Load4(c1 + 4);
-  Float4 s20 = Load4(c2), s21 = Load4(c2 + 4);
-  Float4 s30 = Load4(c3), s31 = Load4(c3 + 4);
-  for (int64_t p = 0; p < k; ++p) {
-    const Float4 b0 = Load4(panel + p * n);
-    const Float4 b1 = Load4(panel + p * n + 4);
-    const float* ap = a.a + p * a.col;
-    const float x0 = ap[0];
-    const float x1 = ap[a.row];
-    const float x2 = ap[2 * a.row];
-    const float x3 = ap[3 * a.row];
-    s00 += x0 * b0;
-    s01 += x0 * b1;
-    s10 += x1 * b0;
-    s11 += x1 * b1;
-    s20 += x2 * b0;
-    s21 += x2 * b1;
-    s30 += x3 * b0;
-    s31 += x3 * b1;
-  }
-  Store4(c0, s00);
-  Store4(c0 + 4, s01);
-  Store4(c1, s10);
-  Store4(c1 + 4, s11);
-  Store4(c2, s20);
-  Store4(c2 + 4, s21);
-  Store4(c3, s30);
-  Store4(c3 + 4, s31);
-}
-
-/// C[0, 0..8) += one row of op(A) times panel[:, 0..8).
-void Block1x8(RowsOfA a, const float* panel, int64_t n, int64_t k,
-              float* c) {
-  Float4 s0 = Load4(c), s1 = Load4(c + 4);
-  for (int64_t p = 0; p < k; ++p) {
-    const float x = a.a[p * a.col];
-    s0 += x * Load4(panel + p * n);
-    s1 += x * Load4(panel + p * n + 4);
-  }
-  Store4(c, s0);
-  Store4(c + 4, s1);
-}
-
-/// C[0..rows, j0..n) one element at a time, for the columns left over
-/// after the 8-wide blocks.
-void ScalarColumns(RowsOfA a, int64_t rows, const float* panel, int64_t n,
-                   int64_t k, int64_t j0, float* c) {
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t j = j0; j < n; ++j) {
-      float s = c[r * n + j];
-      for (int64_t p = 0; p < k; ++p) {
-        s += a.a[r * a.row + p * a.col] * panel[p * n + j];
-      }
-      c[r * n + j] = s;
-    }
-  }
-}
-
-/// C(m x n) (+)= op(A) * op(B) where op(A) is m x k and op(B) is k x n.
-/// Physical layouts (row-major): A is (k x m) when trans_a else (m x k);
-/// B is (n x k) when trans_b else (k x n).
-///
-/// Every C element starts from C (+0 unless accumulating) and adds its k
-/// products in p order, one multiply and one add each, whatever the block
-/// it falls in, so the result is bit-identical to the plain i-p-j loop
-/// for any tiling, batching or row split of the same product (finite
-/// inputs; see DESIGN.md).
-void GemmRaw(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-             const float* a, const float* b, float* c, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * m * n);
-  if (k == 0) return;  // An empty A or B may have no storage to offset.
-  // The kernels read op(B) as a row-major k x n panel.
-  const float* panel = b;
-  if (trans_b) {
-    thread_local std::vector<float> packed;
-    packed.resize(static_cast<size_t>(k * n));
-    for (int64_t p = 0; p < k; ++p) {
-      for (int64_t j = 0; j < n; ++j) packed[p * n + j] = b[j * k + p];
-    }
-    panel = packed.data();
-  }
-  const int64_t row = trans_a ? 1 : k;
-  const int64_t col = trans_a ? m : 1;
-  const int64_t n8 = n - n % 8;
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const RowsOfA rows{a + i * row, row, col};
-    for (int64_t j = 0; j < n8; j += 8) {
-      Block4x8(rows, panel + j, n, k, c + i * n + j);
-    }
-    ScalarColumns(rows, 4, panel, n, k, n8, c + i * n);
-  }
-  for (; i < m; ++i) {
-    const RowsOfA rows{a + i * row, row, col};
-    for (int64_t j = 0; j < n8; j += 8) {
-      Block1x8(rows, panel + j, n, k, c + i * n + j);
-    }
-    ScalarColumns(rows, 1, panel, n, k, n8, c + i * n);
-  }
 }
 
 struct MatDims {

@@ -42,20 +42,18 @@ int Connect(int port) {
   return fd;
 }
 
-/// Raw-socket GET against 127.0.0.1:port; returns the full response
-/// (status line + headers + body) or "" on any socket failure. A client
+/// Sends `request` to 127.0.0.1:port as is and returns the full response
+/// (status line + headers + body), or "" on any socket failure. A client
 /// receive timeout turns a server that never answers into a failure
 /// instead of a hang. Kept deliberately independent of HttpEndpoint's own
 /// parsing.
-std::string HttpGet(int port, const std::string& path,
-                    int timeout_seconds = 10) {
+std::string Exchange(int port, const std::string& request,
+                     int timeout_seconds = 10) {
   const int fd = Connect(port);
   if (fd < 0) return "";
   timeval timeout{};
   timeout.tv_sec = timeout_seconds;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {
     const ssize_t n =
@@ -75,6 +73,14 @@ std::string HttpGet(int port, const std::string& path,
   }
   ::close(fd);
   return response;
+}
+
+/// A well-formed GET of `path`, through Exchange.
+std::string HttpGet(int port, const std::string& path,
+                    int timeout_seconds = 10) {
+  return Exchange(port,
+                  "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n",
+                  timeout_seconds);
 }
 
 /// Waits (up to 10 s) until the endpoint has picked up `count`
@@ -286,6 +292,65 @@ TEST(HttpEndpointTest, StopIsNotHeldByAnIdleClient) {
             std::future_status::ready);
   ::close(idle);  // Unblocks a Stop() that is still waiting on the client.
   stopped.get();
+}
+
+/// An endpoint with one route, /metrics, that answers 200 "ok".
+class HttpEndpointHeadTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    endpoint_.AddRoute("/metrics", [](const std::string&) {
+      return IntrospectPage{200, "text/plain", "ok"};
+    });
+    ASSERT_TRUE(endpoint_.Start().ok());
+  }
+  void TearDown() override { endpoint_.Stop(); }
+
+  HttpEndpoint endpoint_{HttpEndpoint::Options{}};
+};
+
+TEST_F(HttpEndpointHeadTest, RequestLineWithoutBlankLineGets400WithinTheBudget) {
+  // The request line alone, then silence: the head never ends, so the
+  // receive timeout must end the read with a 400, not an answer.
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response =
+      Exchange(endpoint_.port(), "GET /metrics HTTP/1.1\r\n");
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(StatusLine(response), "HTTP/1.1 400 Bad Request");
+  // Scheduling slack on top of the budget.
+  EXPECT_LE(took, std::chrono::milliseconds(HttpEndpoint::kReadBudgetMillis +
+                                            250));
+}
+
+TEST_F(HttpEndpointHeadTest, HeadWithNoBlankLineInTheSizeCapGets400) {
+  // Exactly kMaxHeadBytes, so the endpoint reads every byte before it
+  // answers (unread bytes would turn its close into a reset).
+  std::string request = "GET /metrics HTTP/1.1\r\nX-Pad: ";
+  request.resize(HttpEndpoint::kMaxHeadBytes, 'x');
+  EXPECT_EQ(StatusLine(Exchange(endpoint_.port(), request)),
+            "HTTP/1.1 400 Bad Request");
+}
+
+TEST_F(HttpEndpointHeadTest, OnlyGetPathHttp10Or11IsAnswered) {
+  EXPECT_EQ(StatusLine(Exchange(endpoint_.port(),
+                                "GET /metrics HTTP/1.0\r\n\r\n")),
+            "HTTP/1.1 200 OK");
+  EXPECT_EQ(StatusLine(Exchange(endpoint_.port(),
+                                "GET /metrics HTTP/1.1\r\n\r\n")),
+            "HTTP/1.1 200 OK");
+  for (const std::string line :
+       {"GET /metrics HTTP/1.1 extra", "GET /metrics", "GET /metrics ",
+        "GET  /metrics HTTP/1.1", "GET metrics HTTP/1.1",
+        "GET /metrics HTTP/2.0", "GET /metrics http/1.1",
+        "POST /metrics HTTP/1.1", "get /metrics HTTP/1.1",
+        "GET /met\trics HTTP/1.1", ""}) {
+    EXPECT_EQ(StatusLine(Exchange(endpoint_.port(), line + "\r\n\r\n")),
+              "HTTP/1.1 400 Bad Request")
+        << "request line: " << line;
+  }
+  // A lone LF never ends the head.
+  EXPECT_EQ(StatusLine(Exchange(endpoint_.port(),
+                                "GET /metrics HTTP/1.1\n\n")),
+            "HTTP/1.1 400 Bad Request");
 }
 
 class IntrospectionRoutesTest : public testing::Test {

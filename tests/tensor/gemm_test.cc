@@ -1,7 +1,9 @@
 // Bit-exactness of MatMul's blocked GEMM kernel against the plain i-p-j
-// loop it replaced: forward output and both gradients must match the
-// oracle byte for byte over a grid of shapes, for every transpose pair and
-// for the rank-2, rank-3 batched and rank-3 x shared rank-2 cases.
+// loop it replaced: the kernel at every vector width this CPU supports
+// (GemmAtWidth), and MatMul on the width the process picked — forward
+// output and both gradients — must match the oracle byte for byte over a
+// grid of shapes, for every transpose pair and for the rank-2, rank-3
+// batched and rank-3 x shared rank-2 cases.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace cyqr {
@@ -60,19 +63,84 @@ bool BytesEqual(const float* got, const std::vector<float>& want) {
          std::memcmp(got, want.data(), sizeof(float) * want.size()) == 0;
 }
 
+/// Row counts: every m around the 4-row blocks, then a few past them.
+std::vector<int64_t> GridMs() {
+  return {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33};
+}
+
+/// Column counts: the row counts, every boundary of the 32-, 16- and 8-wide column
+/// tiers, and a vocabulary-sized 399.
+std::vector<int64_t> GridNs() {
+  std::vector<int64_t> ns = GridMs();
+  ns.insert(ns.end(), {15, 24, 31, 32, 47, 48, 64, 399});
+  return ns;
+}
+
+/// Contraction lengths: the column counts and an empty contraction, where
+/// C is zero or its prior value.
+std::vector<int64_t> GridKs() {
+  std::vector<int64_t> ks = GridNs();
+  ks.push_back(0);
+  return ks;
+}
+
+std::string Where(int64_t m, int64_t n, int64_t k) {
+  return "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+         " k=" + std::to_string(k);
+}
+
+class GemmWidthTest
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+TEST_P(GemmWidthTest, KernelMatchesReferenceBitForBit) {
+  const auto [width, trans_a, trans_b] = GetParam();
+  const std::vector<int>& widths = GemmWidths();
+  if (std::find(widths.begin(), widths.end(), width) == widths.end()) {
+    GTEST_SKIP() << "this CPU cannot run the GEMM at width " << width;
+  }
+  Rng rng(23);
+  for (const int64_t m : GridMs()) {
+    for (const int64_t n : GridNs()) {
+      for (const int64_t k : GridKs()) {
+        const std::vector<float> a = RandomValues(m * k, 0.25f, rng);
+        const std::vector<float> b = RandomValues(k * n, 0.0f, rng);
+        const std::vector<float> prior = RandomValues(m * n, 0.0f, rng);
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> got = prior;
+          std::vector<float> want = prior;
+          GemmAtWidth(width, trans_a, trans_b, m, n, k, a.data(), b.data(),
+                      got.data(), accumulate);
+          ReferenceGemm(trans_a, trans_b, m, n, k, a.data(), b.data(),
+                        want.data(), accumulate);
+          ASSERT_TRUE(BytesEqual(got.data(), want))
+              << Where(m, n, k) << " accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWidths, GemmWidthTest,
+    ::testing::Combine(::testing::Values(4, 8, 16), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = "W" + std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) ? "_TransA" : "_A";
+      name += std::get<2>(info.param) ? "_TransB" : "_B";
+      return name;
+    });
+
 class GemmOracleTest
     : public ::testing::TestWithParam<std::tuple<Layout, bool, bool>> {};
 
 TEST_P(GemmOracleTest, MatMulMatchesReferenceBitForBit) {
   const auto [layout, trans_a, trans_b] = GetParam();
-  const std::vector<int64_t> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33};
-  std::vector<int64_t> ns = ms;
-  ns.push_back(399);
-  std::vector<int64_t> ks = ns;
-  ks.push_back(0);  // An empty contraction: C is zero or its prior value.
+  const std::vector<int64_t> ns = GridNs();
+  const std::vector<int64_t> ks = GridKs();
   Rng rng(17);
   int64_t cases = 0;
-  for (const int64_t m : ms) {
+  for (const int64_t m : GridMs()) {
     for (const int64_t n : ns) {
       for (const int64_t k : ks) {
         const bool a_rank3 = layout != Layout::kRank2;
@@ -131,9 +199,7 @@ TEST_P(GemmOracleTest, MatMulMatchesReferenceBitForBit) {
             ReferenceGemm(true, trans_a, n, k, m, dc, pa, db, true);
           }
         }
-        const std::string where = "m=" + std::to_string(m) +
-                                  " n=" + std::to_string(n) +
-                                  " k=" + std::to_string(k);
+        const std::string where = Where(m, n, k);
         ASSERT_TRUE(BytesEqual(c.data(), want_c)) << "C " << where;
         ASSERT_TRUE(BytesEqual(a.grad(), want_da)) << "dA " << where;
         ASSERT_TRUE(BytesEqual(b.grad(), want_db)) << "dB " << where;
@@ -141,7 +207,7 @@ TEST_P(GemmOracleTest, MatMulMatchesReferenceBitForBit) {
       }
     }
   }
-  EXPECT_EQ(cases, 12 * 13 * 14);
+  EXPECT_EQ(cases, 12 * 20 * 21);
 }
 
 INSTANTIATE_TEST_SUITE_P(
