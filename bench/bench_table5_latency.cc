@@ -8,8 +8,10 @@
 // pass over the tokens) while the transformer DECODER is the bottleneck
 // (self-attention over all generated tokens at every step).
 //
-// The library's transformer Step caches each layer's keys and values, so
-// BM_DecoderTransformer measures the cached engine. The paper's uncached
+// Every decoder steps its beam as one batch (Seq2SeqModel::StepBatch), as
+// the library's decode loop does. The transformer's step caches each
+// layer's keys and values, so BM_DecoderTransformer measures the cached,
+// batched engine. The paper's uncached
 // cost model is BM_DecoderTransformerNoCache: the same loop, rebuilt from
 // the public teacher-forced Forward over the growing prefix (which also
 // re-encodes the source every step; BM_EncoderTransformer is that share).
@@ -102,7 +104,8 @@ BENCHMARK(BM_EncoderTransformer)->Unit(benchmark::kMillisecond);
 // --------------------------- Decoders ------------------------------------
 // Each decoder benchmark measures a full beam-3, 15-step decode, excluding
 // the encoder (states are prepared per iteration but encoding is the same
-// tiny cost for all variants).
+// tiny cost for all variants). Each step feeds the whole beam in one
+// StepBatch call.
 
 template <typename ModelT>
 void RunBeamDecode(const ModelT& model, benchmark::State& state) {
@@ -111,18 +114,18 @@ void RunBeamDecode(const ModelT& model, benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<std::unique_ptr<DecodeState>> beam;
+    std::vector<DecodeState*> states;
     for (int64_t b = 0; b < kBeam; ++b) {
       beam.push_back(model.StartDecode(src));
+      states.push_back(beam.back().get());
     }
     state.ResumeTiming();
     int32_t token = kBosId;
     for (int64_t step = 0; step < kDecodeSteps; ++step) {
-      for (int64_t b = 0; b < kBeam; ++b) {
-        const std::vector<float> logits = model.Step(*beam[b], token);
-        benchmark::DoNotOptimize(logits.data());
-        token = static_cast<int32_t>(kNumSpecialTokens +
-                                     (step % (kVocab / 2)));
-      }
+      const std::vector<std::vector<float>> logits =
+          model.StepBatch(states, std::vector<int32_t>(kBeam, token));
+      benchmark::DoNotOptimize(logits.data());
+      token = static_cast<int32_t>(kNumSpecialTokens + (step % (kVocab / 2)));
     }
   }
 }

@@ -16,30 +16,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 top bits -> [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 uint64_t Rng::NextBelow(uint64_t n) {

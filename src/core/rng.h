@@ -24,11 +24,24 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 42);
 
-  /// Uniform 64-bit value.
-  uint64_t NextUint64();
+  /// Uniform 64-bit value. Inline, like NextDouble: dropout draws one per
+  /// element.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform in [0, 1).
-  double NextDouble();
+  /// Uniform in [0, 1): the top 53 bits of NextUint64.
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform float in [0, 1).
   float NextFloat() { return static_cast<float>(NextDouble()); }
@@ -72,6 +85,10 @@ class Rng {
   void set_state(const RngState& state);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

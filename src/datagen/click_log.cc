@@ -42,10 +42,17 @@ ClickLog ClickLog::Generate(const Catalog& catalog,
   }
   for (double& p : log.popularity_) p /= total;
 
-  // Cache matching products per query.
+  // Cache matching products per query, with their click weights (quality x
+  // relevance): both depend only on the query.
   std::vector<std::vector<int64_t>> matches(n);
+  std::vector<std::vector<float>> weights(n);
   for (size_t i = 0; i < n; ++i) {
     matches[i] = catalog.MatchingProducts(log.queries_[i].intent);
+    for (const int64_t id : matches[i]) {
+      const Product& p = catalog.product(id);
+      weights[i].push_back(static_cast<float>(
+          p.quality * catalog.MatchScore(log.queries_[i].intent, p)));
+    }
   }
 
   // Precompute popularity CDF for session sampling.
@@ -65,16 +72,9 @@ ClickLog ClickLog::Generate(const Catalog& catalog,
     const size_t q = std::min(qi, n - 1);
     const auto& cand = matches[q];
     if (cand.empty()) continue;  // Unsatisfiable query: no click.
-    // Click weight = quality * relevance.
-    std::vector<float> w(cand.size());
-    for (size_t j = 0; j < cand.size(); ++j) {
-      const Product& p = catalog.product(cand[j]);
-      w[j] = static_cast<float>(
-          p.quality * catalog.MatchScore(log.queries_[q].intent, p));
-    }
     const int64_t num_clicks = rng.NextBernoulli(0.3) ? 2 : 1;
     for (int64_t c = 0; c < num_clicks; ++c) {
-      const size_t pick = rng.SampleCategorical(w);
+      const size_t pick = rng.SampleCategorical(weights[q]);
       ++counts[{static_cast<int64_t>(q), cand[pick]}];
     }
   }

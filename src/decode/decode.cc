@@ -1,7 +1,8 @@
 // All five decoders run one step loop. Each step feeds every live
-// hypothesis to the model once, asks the policy for the step's children,
-// finishes the children that emit EOS and forks the rest. The decoders
-// differ only in the Policy they pass:
+// hypothesis to the model in one StepBatch call (its rows are the same bits
+// as stepping each hypothesis alone), asks the policy for the step's
+// children, finishes the children that emit EOS and forks the rest. The
+// decoders differ only in the Policy they pass:
 //
 //  * search: beam search is one group, diverse beam search several, and
 //    greedy decoding is beam search with k = 1;
@@ -185,11 +186,16 @@ std::vector<DecodedSequence> Decode(const Seq2SeqModel& model,
       }
       if (best_live <= worst_finished) break;
     }
-    std::vector<std::vector<float>> lps;
-    lps.reserve(live.size());
+    // Every live hypothesis is at position t: one batched model step.
+    std::vector<DecodeState*> states;
+    std::vector<int32_t> tokens;
     for (Hypothesis& h : live) {
-      lps.push_back(StepLogProbs(model.Step(*h.state, h.last_token),
-                                 /*allow_eos=*/t > 0));
+      states.push_back(h.state.get());
+      tokens.push_back(h.last_token);
+    }
+    std::vector<std::vector<float>> lps = model.StepBatch(states, tokens);
+    for (std::vector<float>& lp : lps) {
+      lp = StepLogProbs(lp, /*allow_eos=*/t > 0);
     }
 
     std::vector<Child> children;

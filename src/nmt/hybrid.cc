@@ -57,13 +57,13 @@ std::unique_ptr<DecodeState> HybridSeq2Seq::StartDecode(
 
 std::vector<float> HybridSeq2Seq::Step(DecodeState& state,
                                        int32_t token) const {
-  NoGradGuard no_grad;
-  auto& s = static_cast<RnnDecodeState&>(state);
-  RnnDecoder::StepOutput out =
-      decoder_.StepState(s.memory, s.src_mask, s.hidden, {token});
-  s.hidden = out.hidden;
-  return std::vector<float>(out.logits.data(),
-                            out.logits.data() + config_.vocab_size);
+  return std::move(StepBatch({&state}, {token}).front());
+}
+
+std::vector<std::vector<float>> HybridSeq2Seq::StepBatch(
+    const std::vector<DecodeState*>& states,
+    const std::vector<int32_t>& tokens) const {
+  return StepRnnDecodeStates(decoder_, states, tokens);
 }
 
 }  // namespace cyqr

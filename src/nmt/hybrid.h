@@ -24,6 +24,9 @@ class HybridSeq2Seq : public Seq2SeqModel {
   std::unique_ptr<DecodeState> StartDecode(
       const std::vector<int32_t>& src_ids) const override;
   std::vector<float> Step(DecodeState& state, int32_t token) const override;
+  std::vector<std::vector<float>> StepBatch(
+      const std::vector<DecodeState*>& states,
+      const std::vector<int32_t>& tokens) const override;
   int64_t vocab_size() const override { return config_.vocab_size; }
   std::string name() const override { return "hybrid-transformer-rnn"; }
 

@@ -305,13 +305,13 @@ std::unique_ptr<DecodeState> RnnSeq2Seq::StartDecode(
 }
 
 std::vector<float> RnnSeq2Seq::Step(DecodeState& state, int32_t token) const {
-  NoGradGuard no_grad;
-  auto& s = static_cast<RnnDecodeState&>(state);
-  RnnDecoder::StepOutput out =
-      decoder_.StepState(s.memory, s.src_mask, s.hidden, {token});
-  s.hidden = out.hidden;
-  return std::vector<float>(out.logits.data(),
-                            out.logits.data() + config_.vocab_size);
+  return std::move(StepBatch({&state}, {token}).front());
+}
+
+std::vector<std::vector<float>> RnnSeq2Seq::StepBatch(
+    const std::vector<DecodeState*>& states,
+    const std::vector<int32_t>& tokens) const {
+  return StepRnnDecodeStates(decoder_, states, tokens);
 }
 
 std::string RnnSeq2Seq::name() const {
@@ -321,6 +321,39 @@ std::string RnnSeq2Seq::name() const {
   n += decoder_.attention() == AttentionKind::kAdditive ? "+additive"
                                                         : "+dot";
   return n;
+}
+
+std::vector<std::vector<float>> StepRnnDecodeStates(
+    const RnnDecoder& decoder, const std::vector<DecodeState*>& states,
+    const std::vector<int32_t>& tokens) {
+  NoGradGuard no_grad;
+  CYQR_CHECK(!states.empty());
+  CYQR_CHECK_EQ(states.size(), tokens.size());
+  const int64_t k = static_cast<int64_t>(states.size());
+  auto state = [&states](int64_t i) -> RnnDecodeState& {
+    return *static_cast<RnnDecodeState*>(states[i]);
+  };
+  std::vector<const Tensor*> memory;
+  std::vector<const Tensor*> hidden;
+  std::vector<float> src_mask;
+  for (int64_t i = 0; i < k; ++i) {
+    memory.push_back(&state(i).memory);
+    hidden.push_back(&state(i).hidden);
+    src_mask.insert(src_mask.end(), state(i).src_mask.begin(),
+                    state(i).src_mask.end());
+  }
+  const RnnDecoder::StepOutput out = decoder.StepState(
+      StackStates(memory), src_mask, StackStates(hidden), tokens);
+  const int64_t width = out.hidden.shape().dim(1);
+  for (int64_t i = 0; i < k; ++i) {
+    state(i).hidden =
+        k == 1 ? out.hidden
+               : Tensor::FromData(
+                     Shape{1, width},
+                     std::vector<float>(out.hidden.data() + i * width,
+                                        out.hidden.data() + (i + 1) * width));
+  }
+  return SplitRows(out.logits);
 }
 
 std::unique_ptr<DecodeState> RnnDecodeState::Clone() const {

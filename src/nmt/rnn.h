@@ -179,6 +179,9 @@ class RnnSeq2Seq : public Seq2SeqModel {
   std::unique_ptr<DecodeState> StartDecode(
       const std::vector<int32_t>& src_ids) const override;
   std::vector<float> Step(DecodeState& state, int32_t token) const override;
+  std::vector<std::vector<float>> StepBatch(
+      const std::vector<DecodeState*>& states,
+      const std::vector<int32_t>& tokens) const override;
   int64_t vocab_size() const override { return config_.vocab_size; }
   std::string name() const override;
 
@@ -202,6 +205,15 @@ class RnnDecodeState : public DecodeState {
 
   std::unique_ptr<DecodeState> Clone() const override;
 };
+
+/// One decode step of k RnnDecodeStates through `decoder` as one batch:
+/// their cell states stacked to [k, S] and their memories and masks to
+/// [k, Ts, D] (one Ts for all), then a single StepState. Every row of it
+/// computes what a one-state step does, bit for bit. Feeds tokens[i] to
+/// states[i], stores its new cell state and returns its logits row.
+std::vector<std::vector<float>> StepRnnDecodeStates(
+    const RnnDecoder& decoder, const std::vector<DecodeState*>& states,
+    const std::vector<int32_t>& tokens);
 
 }  // namespace cyqr
 

@@ -38,7 +38,9 @@ class DecodeState {
 ///    [B, T_tgt, vocab]. Differentiable.
 ///  * Incremental decoding for generation: StartDecode runs the encoder,
 ///    then each Step feeds the previously generated token (first call:
-///    kBosId) and returns next-token logits. Never records gradients.
+///    kBosId) and returns next-token logits. StepBatch steps several
+///    states at once, e.g. every live hypothesis of one decode. Never
+///    records gradients.
 class Seq2SeqModel : public Module {
  public:
   virtual Tensor Forward(const EncodedBatch& src,
@@ -50,11 +52,29 @@ class Seq2SeqModel : public Module {
   /// Feeds `token` and returns raw (pre-softmax) logits for the next token.
   virtual std::vector<float> Step(DecodeState& state, int32_t token) const = 0;
 
+  /// Feeds tokens[i] to *states[i] for every i and returns each state's
+  /// logits, in order. Row i is bit-identical to Step(*states[i],
+  /// tokens[i]): the library's models run one batched step, whose rows
+  /// compute exactly what a one-state step does. This default steps the
+  /// states one at a time.
+  virtual std::vector<std::vector<float>> StepBatch(
+      const std::vector<DecodeState*>& states,
+      const std::vector<int32_t>& tokens) const;
+
   virtual int64_t vocab_size() const = 0;
 
   /// Short architecture tag for reports ("transformer", "rnn", ...).
   virtual std::string name() const = 0;
 };
+
+/// One tensor per state, all of one shape [n, ...], stacked in order to
+/// [k * n, ...] for a batched step; a lone tensor is used as it is. A copy
+/// that records nothing.
+Tensor StackStates(const std::vector<const Tensor*>& parts);
+
+/// The rows of a batched step's logits [k, ..., V]: one vector of V floats
+/// per state.
+std::vector<std::vector<float>> SplitRows(const Tensor& logits);
 
 }  // namespace cyqr
 

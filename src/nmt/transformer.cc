@@ -24,20 +24,38 @@ class TransformerDecodeState : public DecodeState {
   }
 };
 
-/// `cached` [H, T, dh] with `row` [H, 1, dh] appended as position T; an
-/// undefined `cached` holds no positions.
-Tensor AppendPosition(const Tensor& cached, const Tensor& row) {
-  if (!cached.defined()) return row;
-  const int64_t h = row.shape().dim(0);
-  const int64_t dh = row.shape().dim(2);
-  const int64_t t = cached.shape().dim(1);
+using KeyValueHeads = MultiHeadAttention::KeyValueHeads;
+
+/// `cached` [H, T, dh] with position T appended: heads [seq * H, seq * H + H)
+/// of `rows` [k * H, 1, dh], the new position of every sequence in a batch.
+/// An undefined `cached` holds no positions.
+Tensor AppendPosition(const Tensor& cached, const Tensor& rows, int64_t seq,
+                      int64_t h) {
+  const int64_t dh = rows.shape().dim(2);
+  const int64_t t = cached.defined() ? cached.shape().dim(1) : 0;
+  if (t == 0 && rows.shape().dim(0) == h) return rows;
+  const float* row = rows.data() + seq * h * dh;
   std::vector<float> out(static_cast<size_t>(h * (t + 1) * dh));
   for (int64_t hi = 0; hi < h; ++hi) {
-    std::copy_n(cached.data() + hi * t * dh, t * dh,
-                out.data() + hi * (t + 1) * dh);
-    std::copy_n(row.data() + hi * dh, dh, out.data() + (hi * (t + 1) + t) * dh);
+    if (t > 0) {
+      std::copy_n(cached.data() + hi * t * dh, t * dh,
+                  out.data() + hi * (t + 1) * dh);
+    }
+    std::copy_n(row + hi * dh, dh, out.data() + (hi * (t + 1) + t) * dh);
   }
   return Tensor::FromData(Shape{h, t + 1, dh}, std::move(out));
+}
+
+/// The heads of every sequence ([H, T, dh] each, one T for all) stacked in
+/// order to [k * H, T, dh].
+KeyValueHeads StackHeads(const std::vector<const KeyValueHeads*>& parts) {
+  std::vector<const Tensor*> keys;
+  std::vector<const Tensor*> values;
+  for (const KeyValueHeads* part : parts) {
+    keys.push_back(&part->keys);
+    values.push_back(&part->values);
+  }
+  return {StackStates(keys), StackStates(values)};
 }
 
 }  // namespace
@@ -91,15 +109,27 @@ Tensor TransformerDecoderLayer::Forward(
                cross_attn_.ProjectKeysValues(memory), memory_mask);
 }
 
-Tensor TransformerDecoderLayer::Step(const Tensor& x, Cache& cache) const {
+Tensor TransformerDecoderLayer::Step(const Tensor& x,
+                                     const std::vector<Cache*>& caches) const {
+  CYQR_CHECK_EQ(x.shape().dim(0), static_cast<int64_t>(caches.size()));
   Tensor h = norm1_.Forward(x);
-  const MultiHeadAttention::KeyValueHeads row = self_attn_.ProjectKeysValues(h);
-  cache.self = {AppendPosition(cache.self.keys, row.keys),
-                AppendPosition(cache.self.values, row.values)};
-  // The new position sees every cached one, and a lone source has no
-  // padding: both masks would add only zeros, which leave softmax's bits
-  // unchanged.
-  return Block(x, h, cache.self, {}, cache.memory, {});
+  const KeyValueHeads rows = self_attn_.ProjectKeysValues(h);
+  const int64_t heads = self_attn_.num_heads();
+  std::vector<const KeyValueHeads*> self(caches.size());
+  std::vector<const KeyValueHeads*> memory(caches.size());
+  for (size_t i = 0; i < caches.size(); ++i) {
+    Cache& cache = *caches[i];
+    const int64_t seq = static_cast<int64_t>(i);
+    cache.self = {AppendPosition(cache.self.keys, rows.keys, seq, heads),
+                  AppendPosition(cache.self.values, rows.values, seq, heads)};
+    self[i] = &cache.self;
+    memory[i] = &cache.memory;
+  }
+  // Each new position sees every cached one of its own sequence, and a lone
+  // source has no padding: both masks would add only zeros, which leave
+  // softmax's bits unchanged. Stacked, sequence i owns heads
+  // [i * H, i * H + H) of every attention product.
+  return Block(x, h, StackHeads(self), {}, StackHeads(memory), {});
 }
 
 Tensor TransformerDecoderLayer::Block(
@@ -207,15 +237,32 @@ std::unique_ptr<DecodeState> TransformerSeq2Seq::StartDecode(
 
 std::vector<float> TransformerSeq2Seq::Step(DecodeState& state,
                                             int32_t token) const {
+  return std::move(StepBatch({&state}, {token}).front());
+}
+
+std::vector<std::vector<float>> TransformerSeq2Seq::StepBatch(
+    const std::vector<DecodeState*>& states,
+    const std::vector<int32_t>& tokens) const {
   NoGradGuard no_grad;
-  auto& s = static_cast<TransformerDecodeState&>(state);
-  Tensor x = EmbedTarget({token}, 1, 1, s.position++);
-  for (size_t i = 0; i < decoder_layers_.size(); ++i) {
-    x = decoder_layers_[i]->Step(x, s.layers[i]);
+  CYQR_CHECK(!states.empty());
+  CYQR_CHECK_EQ(states.size(), tokens.size());
+  const int64_t k = static_cast<int64_t>(states.size());
+  const int64_t position =
+      static_cast<TransformerDecodeState*>(states[0])->position;
+  std::vector<TransformerDecodeState*> batch(states.size());
+  for (size_t i = 0; i < states.size(); ++i) {
+    batch[i] = static_cast<TransformerDecodeState*>(states[i]);
+    CYQR_CHECK_EQ(batch[i]->position, position);
+    ++batch[i]->position;
   }
-  Tensor logits = output_proj_.Forward(final_norm_.Forward(x));
-  return std::vector<float>(logits.data(),
-                            logits.data() + config_.vocab_size);
+  Tensor x = EmbedTarget(tokens, k, 1, position);  // [k, 1, D]
+  std::vector<TransformerDecoderLayer::Cache*> caches(states.size());
+  for (size_t l = 0; l < decoder_layers_.size(); ++l) {
+    for (size_t i = 0; i < batch.size(); ++i) caches[i] = &batch[i]->layers[l];
+    x = decoder_layers_[l]->Step(x, caches);
+  }
+  Tensor logits = output_proj_.Forward(final_norm_.Forward(x));  // [k, 1, V]
+  return SplitRows(logits);
 }
 
 void TransformerSeq2Seq::SetCaptureAttention(bool capture) {

@@ -45,10 +45,12 @@ class TransformerDecoderLayer : public Module {
                  const std::vector<float>& causal_mask,
                  const std::vector<float>& memory_mask) const;
 
-  /// Runs the block on one new position x [1, 1, D] of a single unpadded
-  /// sequence, appending its self-attention heads to `cache`. The result
-  /// is bit-identical to that position's row of Forward over the prefix.
-  Tensor Step(const Tensor& x, Cache& cache) const;
+  /// Runs the block on one new position of k unpadded sequences at once:
+  /// row i of x [k, 1, D] belongs to the sequence of caches[i], and its
+  /// self-attention heads are appended to that cache. Row i of the result
+  /// is bit-identical to that position's row of Forward over sequence i's
+  /// prefix, whatever k is.
+  Tensor Step(const Tensor& x, const std::vector<Cache*>& caches) const;
 
   MultiHeadAttention& cross_attention() { return cross_attn_; }
   const MultiHeadAttention& cross_attention() const { return cross_attn_; }
@@ -104,13 +106,19 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   std::unique_ptr<DecodeState> StartDecode(
       const std::vector<int32_t>& src_ids) const override;
   std::vector<float> Step(DecodeState& state, int32_t token) const override;
+  /// One step of every state. The states must all have been fed the same
+  /// number of tokens; they may come from different sources of one length.
+  std::vector<std::vector<float>> StepBatch(
+      const std::vector<DecodeState*>& states,
+      const std::vector<int32_t>& tokens) const override;
   int64_t vocab_size() const override { return config_.vocab_size; }
   std::string name() const override { return "transformer"; }
 
   /// Enables attention capture on the last decoder layer's cross-attention
   /// (Figure 6 heat maps). After a Forward, LastCrossAttention() returns
   /// the head-averaged [T_tgt, T_src] weights of batch element 0; after a
-  /// Step, the one [1, T_src] row of the position it fed.
+  /// Step, the one [1, T_src] row of the position it fed (of the first
+  /// state, after a StepBatch).
   void SetCaptureAttention(bool capture);
   const std::vector<float>& LastCrossAttention() const;
   int64_t LastAttentionRows() const;

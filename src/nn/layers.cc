@@ -1,6 +1,8 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "core/check.h"
 
@@ -62,22 +64,43 @@ Tensor FeedForward::Forward(const Tensor& x) const {
   return fc2_.Forward(Relu(fc1_.Forward(x)));
 }
 
+namespace {
+
+/// Rows [0, end) of the sinusoidal table of width d > 0, row-major. Each
+/// thread keeps its own tables and grows them on demand with the one
+/// expression, so a value is the same bits whenever it is read.
+const float* PositionalRows(int64_t d, int64_t end) {
+  thread_local std::unordered_map<int64_t, std::vector<float>> tables;
+  std::vector<float>& table = tables[d];
+  const int64_t have = static_cast<int64_t>(table.size()) / d;
+  if (have < end) {
+    table.resize(static_cast<size_t>(end * d));
+    for (int64_t p = have; p < end; ++p) {
+      const double pos = static_cast<double>(p);
+      for (int64_t j = 0; j < d; ++j) {
+        const double angle =
+            pos / std::pow(10000.0, 2.0 * (j / 2) / static_cast<double>(d));
+        table[p * d + j] = static_cast<float>(
+            (j % 2 == 0) ? std::sin(angle) : std::cos(angle));
+      }
+    }
+  }
+  return table.data();
+}
+
+}  // namespace
+
 Tensor AddPositionalEncoding(const Tensor& x, int64_t offset) {
   CYQR_CHECK_EQ(x.shape().rank(), 3);
+  CYQR_CHECK_GE(offset, 0);
   const int64_t b = x.shape().dim(0);
   const int64_t t = x.shape().dim(1);
   const int64_t d = x.shape().dim(2);
   std::vector<float> pe(static_cast<size_t>(b * t * d));
-  for (int64_t ti = 0; ti < t; ++ti) {
-    const double pos = static_cast<double>(ti + offset);
-    for (int64_t j = 0; j < d; ++j) {
-      const double angle =
-          pos / std::pow(10000.0, 2.0 * (j / 2) / static_cast<double>(d));
-      const float val = static_cast<float>((j % 2 == 0) ? std::sin(angle)
-                                                        : std::cos(angle));
-      for (int64_t bi = 0; bi < b; ++bi) {
-        pe[(bi * t + ti) * d + j] = val;
-      }
+  if (d > 0) {
+    const float* rows = PositionalRows(d, offset + t) + offset * d;
+    for (int64_t bi = 0; bi < b; ++bi) {
+      std::copy_n(rows, t * d, pe.data() + bi * t * d);
     }
   }
   return AddMask(x, pe);

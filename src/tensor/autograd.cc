@@ -6,35 +6,34 @@
 
 namespace cyqr {
 
-Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl&)> backward,
-                    const char* name) {
+namespace {
+thread_local int64_t g_op_count = 0;
+}  // namespace
+
+namespace autograd_internal {
+
+Tensor OpOutput(const Shape& shape, std::vector<float> data) {
   CYQR_CHECK_EQ(static_cast<size_t>(shape.NumElements()), data.size());
+  ++g_op_count;
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
   impl->data = std::move(data);
-
-  bool needs_grad = false;
-  if (NoGradGuard::GradEnabled()) {
-    for (const Tensor& t : inputs) {
-      if (t.defined() && (t.requires_grad() || t.impl()->node != nullptr)) {
-        needs_grad = true;
-        break;
-      }
-    }
-  }
-  if (needs_grad) {
-    auto node = std::make_shared<GradNode>();
-    node->name = name;
-    node->inputs.reserve(inputs.size());
-    for (const Tensor& t : inputs) node->inputs.push_back(t.impl());
-    node->backward = std::move(backward);
-    impl->node = std::move(node);
-    impl->requires_grad = true;
-  }
   return Tensor(std::move(impl));
 }
+
+void Record(Tensor& out, std::vector<std::shared_ptr<TensorImpl>> inputs,
+            std::function<void(TensorImpl&)> backward, const char* name) {
+  auto node = std::make_shared<GradNode>();
+  node->name = name;
+  node->inputs = std::move(inputs);
+  node->backward = std::move(backward);
+  out.impl()->node = std::move(node);
+  out.impl()->requires_grad = true;
+}
+
+}  // namespace autograd_internal
+
+int64_t ThreadOpCount() { return g_op_count; }
 
 double GradCheck(const std::function<Tensor()>& fn, Tensor input, float eps) {
   CYQR_CHECK(input.requires_grad());

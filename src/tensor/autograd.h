@@ -1,21 +1,98 @@
 #ifndef CYCLEQR_TENSOR_AUTOGRAD_H_
 #define CYCLEQR_TENSOR_AUTOGRAD_H_
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace cyqr {
 
-/// Builds an op output tensor and, when gradients are enabled and any input
-/// requires them, records a tape node whose `backward` accumulates into the
-/// inputs. The backward closure receives the *output* impl (its .grad is the
-/// upstream gradient).
+/// The inputs of one op, by reference: listing them neither copies the
+/// handles nor touches their refcounts.
+using OpInputList = std::initializer_list<std::reference_wrapper<const Tensor>>;
+
+namespace autograd_internal {
+
+/// Wraps an op's output values in a fresh tensor and counts the op.
+Tensor OpOutput(const Shape& shape, std::vector<float> data);
+
+/// Attaches a tape node over `inputs` to `out`.
+void Record(Tensor& out, std::vector<std::shared_ptr<TensorImpl>> inputs,
+            std::function<void(TensorImpl&)> backward, const char* name);
+
+template <typename Inputs>
+bool AnyInputNeedsGrad(const Inputs& inputs) {
+  if (!NoGradGuard::GradEnabled()) return false;
+  for (const Tensor& t : inputs) {
+    if (t.defined() && (t.requires_grad() || t.impl()->node != nullptr)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+template <typename Inputs, typename Backward>
 Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl&)> backward,
-                    const char* name);
+                    const Inputs& inputs, Backward&& backward,
+                    const char* name) {
+  Tensor out = OpOutput(shape, std::move(data));
+  if (AnyInputNeedsGrad(inputs)) {
+    std::vector<std::shared_ptr<TensorImpl>> impls;
+    impls.reserve(inputs.size());
+    for (const Tensor& t : inputs) impls.push_back(t.impl());
+    Record(out, std::move(impls),
+           std::function<void(TensorImpl&)>(std::forward<Backward>(backward)),
+           name);
+  }
+  return out;
+}
+
+}  // namespace autograd_internal
+
+/// True when an op over `inputs` records a tape node: gradients are enabled
+/// and some input requires them. An op whose backward needs buffers the
+/// forward does not (e.g. LayerNorm's normalized rows) asks this first.
+inline bool OpRecords(OpInputList inputs) {
+  return autograd_internal::AnyInputNeedsGrad(inputs);
+}
+
+/// Builds an op output tensor and, when OpRecords(inputs), records a tape
+/// node whose `backward` accumulates into the inputs. The backward closure
+/// receives the *output* impl (its .grad is the upstream gradient).
+///
+/// Nothing that only backward needs is built unless the op records: the
+/// closure stays the caller's object (never copied, moved or wrapped in a
+/// std::function) and no GradNode is allocated. An op under NoGradGuard
+/// costs its output buffer and its TensorImpl.
+template <typename Backward>
+Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
+                    OpInputList inputs, Backward&& backward,
+                    const char* name) {
+  return autograd_internal::MakeOpResult(shape, std::move(data), inputs,
+                                         std::forward<Backward>(backward),
+                                         name);
+}
+
+/// The same over a run of inputs held elsewhere (e.g. StackRows' steps).
+template <typename Backward>
+Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
+                    std::span<const Tensor> inputs, Backward&& backward,
+                    const char* name) {
+  return autograd_internal::MakeOpResult(shape, std::move(data), inputs,
+                                         std::forward<Backward>(backward),
+                                         name);
+}
+
+/// Tensor ops this thread has run: one per MakeOpResult call. Under fixed
+/// inputs the count is exact and does not depend on the host, which makes
+/// it the unit of the repository's work counts.
+int64_t ThreadOpCount();
 
 /// Numerically verifies the gradient of `fn` (a tensor program producing a
 /// scalar) with respect to `input` by central differences. Returns the

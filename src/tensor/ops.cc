@@ -1,6 +1,7 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -32,6 +33,15 @@ MatDims GetMatDims(const Shape& s) {
   CYQR_CHECK(s.rank() == 2 || s.rank() == 3);
   if (s.rank() == 2) return {1, s.dim(0), s.dim(1)};
   return {s.dim(0), s.dim(1), s.dim(2)};
+}
+
+/// `s` with its last dimension replaced by `d`.
+Shape WithLastDim(const Shape& s, int64_t d) {
+  CYQR_CHECK_GT(s.rank(), 0);
+  std::array<int64_t, Shape::kMaxRank> dims{};
+  std::copy(s.dims().begin(), s.dims().end(), dims.begin());
+  dims[s.rank() - 1] = d;
+  return Shape(std::span<const int64_t>(dims.data(), s.rank()));
 }
 
 }  // namespace
@@ -370,8 +380,13 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   CYQR_CHECK_EQ(beta.NumElements(), d);
   const int64_t rows = x.NumElements() / d;
   std::vector<float> out(x.NumElements());
-  auto xhat = std::make_shared<std::vector<float>>(x.NumElements());
-  auto inv_std = std::make_shared<std::vector<float>>(rows);
+  // Only backward reads the normalized rows and inverse deviations.
+  std::shared_ptr<std::vector<float>> xhat;
+  std::shared_ptr<std::vector<float>> inv_std;
+  if (OpRecords({x, gamma, beta})) {
+    xhat = std::make_shared<std::vector<float>>(x.NumElements());
+    inv_std = std::make_shared<std::vector<float>>(rows);
+  }
   const float* px = x.data();
   const float* pg = gamma.data();
   const float* pb = beta.data();
@@ -387,10 +402,10 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     }
     var /= d;
     const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-    (*inv_std)[r] = istd;
+    if (inv_std) (*inv_std)[r] = istd;
     for (int64_t j = 0; j < d; ++j) {
       const float xh = (row[j] - static_cast<float>(mu)) * istd;
-      (*xhat)[r * d + j] = xh;
+      if (xhat) (*xhat)[r * d + j] = xh;
       out[r * d + j] = pg[j] * xh + pb[j];
     }
   }
@@ -438,7 +453,7 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 }
 
 Tensor DropoutOp(const Tensor& x, float p, Rng& rng, bool training) {
-  if (!training || p <= 0.0f) return AddScalar(x, 0.0f);
+  if (!training || p <= 0.0f) return x;
   CYQR_CHECK_LT(p, 1.0f);
   const int64_t n = x.NumElements();
   const float scale = 1.0f / (1.0f - p);
@@ -553,8 +568,6 @@ Tensor ConcatLastDim(const Tensor& a, const Tensor& b) {
   const int64_t db = b.shape().back();
   const int64_t rows = a.NumElements() / da;
   CYQR_CHECK_EQ(rows, b.NumElements() / db);
-  std::vector<int64_t> dims = a.shape().dims();
-  dims.back() = da + db;
   std::vector<float> out(rows * (da + db));
   const float* pa = a.data();
   const float* pb = b.data();
@@ -566,7 +579,7 @@ Tensor ConcatLastDim(const Tensor& a, const Tensor& b) {
   auto ia = Impl(a);
   auto ib = Impl(b);
   return MakeOpResult(
-      Shape(dims), std::move(out), {a, b},
+      WithLastDim(a.shape(), da + db), std::move(out), {a, b},
       [ia, ib, rows, da, db](TensorImpl& o) {
         if (ia->requires_grad || ia->node) {
           ia->EnsureGrad();
@@ -593,8 +606,6 @@ Tensor SliceLastDim(const Tensor& x, int64_t begin, int64_t end) {
   CYQR_CHECK(begin >= 0 && begin < end && end <= d);
   const int64_t w = end - begin;
   const int64_t rows = x.NumElements() / d;
-  std::vector<int64_t> dims = x.shape().dims();
-  dims.back() = w;
   std::vector<float> out(rows * w);
   const float* px = x.data();
   for (int64_t r = 0; r < rows; ++r) {
@@ -602,7 +613,7 @@ Tensor SliceLastDim(const Tensor& x, int64_t begin, int64_t end) {
   }
   auto ix = Impl(x);
   return MakeOpResult(
-      Shape(dims), std::move(out), {x},
+      WithLastDim(x.shape(), w), std::move(out), {x},
       [ix, rows, d, w, begin](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
@@ -627,7 +638,10 @@ Tensor EmbeddingGather(const Tensor& table, const std::vector<int32_t>& ids,
     std::memcpy(out.data() + i * d, pt + ids[i] * d, sizeof(float) * d);
   }
   auto it = Impl(table);
-  auto ids_copy = std::make_shared<std::vector<int32_t>>(ids);
+  std::shared_ptr<std::vector<int32_t>> ids_copy;
+  if (OpRecords({table})) {
+    ids_copy = std::make_shared<std::vector<int32_t>>(ids);
+  }
   return MakeOpResult(
       Shape{batch, seq, d}, std::move(out), {table},
       [it, ids_copy, d](TensorImpl& o) {
@@ -668,13 +682,13 @@ Tensor MaskedCrossEntropy(const Tensor& logits,
   const float eps = label_smoothing;
   const float uniform = eps / static_cast<float>(v);
 
-  auto probs = std::make_shared<std::vector<float>>(
-      logits.data(), logits.data() + logits.NumElements());
+  std::vector<float> probs(logits.data(),
+                           logits.data() + logits.NumElements());
   double total_nll = 0.0;
   double count = 0.0;
   const float* raw = logits.data();
   for (int64_t i = 0; i < b * t; ++i) {
-    float* row = probs->data() + i * v;
+    float* row = probs.data() + i * v;
     SoftmaxInPlace(row, v);
     if (mask[i] != 0.0f) {
       CYQR_CHECK(targets[i] >= 0 && targets[i] < v);
@@ -698,11 +712,18 @@ Tensor MaskedCrossEntropy(const Tensor& logits,
   }
   const float loss = count > 0 ? static_cast<float>(total_nll / count) : 0.0f;
   auto il = Impl(logits);
-  auto targets_copy = std::make_shared<std::vector<int32_t>>(targets);
-  auto mask_copy = std::make_shared<std::vector<float>>(mask);
+  // Only backward reads the probabilities, targets and mask again.
+  std::shared_ptr<std::vector<float>> probs_kept;
+  std::shared_ptr<std::vector<int32_t>> targets_copy;
+  std::shared_ptr<std::vector<float>> mask_copy;
+  if (OpRecords({logits})) {
+    probs_kept = std::make_shared<std::vector<float>>(std::move(probs));
+    targets_copy = std::make_shared<std::vector<int32_t>>(targets);
+    mask_copy = std::make_shared<std::vector<float>>(mask);
+  }
   return MakeOpResult(
       Shape{}, {loss}, {logits},
-      [il, probs, targets_copy, mask_copy, b, t, v, count, eps,
+      [il, probs = probs_kept, targets_copy, mask_copy, b, t, v, count, eps,
        uniform](TensorImpl& o) {
         if (count <= 0) return;
         il->EnsureGrad();
@@ -732,14 +753,14 @@ Tensor SequenceLogProb(const Tensor& logits,
   CYQR_CHECK_EQ(static_cast<int64_t>(targets.size()), b * t);
   CYQR_CHECK_EQ(static_cast<int64_t>(mask.size()), b * t);
 
-  auto probs = std::make_shared<std::vector<float>>(
-      logits.data(), logits.data() + logits.NumElements());
+  std::vector<float> probs(logits.data(),
+                           logits.data() + logits.NumElements());
   std::vector<float> out(b, 0.0f);
   for (int64_t bi = 0; bi < b; ++bi) {
     double acc = 0.0;
     for (int64_t ti = 0; ti < t; ++ti) {
       const int64_t i = bi * t + ti;
-      float* row = probs->data() + i * v;
+      float* row = probs.data() + i * v;
       SoftmaxInPlace(row, v);
       if (mask[i] != 0.0f) {
         CYQR_CHECK(targets[i] >= 0 && targets[i] < v);
@@ -749,11 +770,19 @@ Tensor SequenceLogProb(const Tensor& logits,
     out[bi] = static_cast<float>(acc);
   }
   auto il = Impl(logits);
-  auto targets_copy = std::make_shared<std::vector<int32_t>>(targets);
-  auto mask_copy = std::make_shared<std::vector<float>>(mask);
+  // Only backward reads the probabilities, targets and mask again.
+  std::shared_ptr<std::vector<float>> probs_kept;
+  std::shared_ptr<std::vector<int32_t>> targets_copy;
+  std::shared_ptr<std::vector<float>> mask_copy;
+  if (OpRecords({logits})) {
+    probs_kept = std::make_shared<std::vector<float>>(std::move(probs));
+    targets_copy = std::make_shared<std::vector<int32_t>>(targets);
+    mask_copy = std::make_shared<std::vector<float>>(mask);
+  }
   return MakeOpResult(
       Shape{b}, std::move(out), {logits},
-      [il, probs, targets_copy, mask_copy, b, t, v](TensorImpl& o) {
+      [il, probs = probs_kept, targets_copy, mask_copy, b, t,
+       v](TensorImpl& o) {
         il->EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
           const float g = o.grad[bi];

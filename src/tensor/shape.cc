@@ -4,12 +4,13 @@
 
 namespace cyqr {
 
-Shape::Shape(std::initializer_list<int64_t> dims) : dims_(dims) {
-  for (int64_t d : dims_) CYQR_CHECK_GE(d, 0);
-}
-
-Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {
-  for (int64_t d : dims_) CYQR_CHECK_GE(d, 0);
+Shape::Shape(std::span<const int64_t> dims)
+    : rank_(static_cast<int>(dims.size())) {
+  CYQR_CHECK_LE(dims.size(), static_cast<size_t>(kMaxRank));
+  for (int i = 0; i < rank_; ++i) {
+    CYQR_CHECK_GE(dims[i], 0);
+    dims_[i] = dims[i];
+  }
 }
 
 int64_t Shape::dim(int i) const {
@@ -19,7 +20,7 @@ int64_t Shape::dim(int i) const {
 
 std::string Shape::ToString() const {
   std::string out = "[";
-  for (size_t i = 0; i < dims_.size(); ++i) {
+  for (int i = 0; i < rank_; ++i) {
     if (i > 0) out += ", ";
     out += std::to_string(dims_[i]);
   }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 
+#include "core/checksum.h"
 #include "core/string_util.h"
 #include "datagen/click_log.h"
 #include "datagen/query_pairs.h"
@@ -198,6 +199,30 @@ TEST_F(DatagenTest, TrafficSamplerFollowsPopularity) {
   const auto head = sampler.HeadQueries(0.01);
   ASSERT_FALSE(head.empty());
   EXPECT_GT(counts[head[0]], n / 200);
+}
+
+TEST(ClickLogGoldenTest, BenchWorldLogIsUnchanged) {
+  // The benchmark world's click log (bench/e2e/world.cc): its FNV-1a digest
+  // over every pair and the popularity weights, as generated before the
+  // click weights were cached per query.
+  const Catalog catalog = Catalog::Generate({});
+  ClickLogConfig config;
+  config.num_distinct_queries = 1200;
+  config.num_sessions = 60000;
+  config.seed = 11;
+  const ClickLog log = ClickLog::Generate(catalog, config);
+  Fnv1aHasher hasher;
+  for (const ClickPair& p : log.pairs()) {
+    hasher.Update(&p.query_index, sizeof(p.query_index));
+    hasher.Update(&p.product_id, sizeof(p.product_id));
+    hasher.Update(&p.clicks, sizeof(p.clicks));
+  }
+  for (const double w : log.query_popularity()) {
+    hasher.Update(&w, sizeof(w));
+  }
+  EXPECT_EQ(log.pairs().size(), 3935u);
+  EXPECT_EQ(hasher.Digest(), 0xfd20604d7dfe77c6ull)
+      << std::hex << "actual digest " << hasher.Digest();
 }
 
 TEST_F(DatagenTest, HeadQueriesCoverRequestedFraction) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/ops.h"
 
@@ -99,6 +100,43 @@ TEST(PositionalEncodingTest, DistinctPositionsAndBounded) {
     }
   }
   EXPECT_TRUE(differs);
+}
+
+/// The sinusoidal value of (pos, j) at width d, computed directly.
+float DirectPositionalValue(int64_t pos, int64_t j, int64_t d) {
+  const double angle =
+      static_cast<double>(pos) /
+      std::pow(10000.0, 2.0 * (j / 2) / static_cast<double>(d));
+  return static_cast<float>((j % 2 == 0) ? std::sin(angle) : std::cos(angle));
+}
+
+TEST(PositionalEncodingTest, CachedRowsMatchDirectFormulaBitForBit) {
+  for (const int64_t d : {8, 32, 33}) {
+    // Descending offsets first: the first call grows the table to its full
+    // length, later calls read rows computed earlier.
+    for (int64_t offset = 63; offset >= 0; --offset) {
+      const Tensor y =
+          AddPositionalEncoding(Tensor::Zeros(Shape{1, 1, d}), offset);
+      for (int64_t j = 0; j < d; ++j) {
+        const float want = DirectPositionalValue(offset, j, d);
+        EXPECT_EQ(std::memcmp(&y.data()[j], &want, sizeof(float)), 0)
+            << "d=" << d << " offset=" << offset << " j=" << j;
+      }
+    }
+    // A batch of whole sequences reads the same rows for every element.
+    const Tensor y = AddPositionalEncoding(Tensor::Zeros(Shape{2, 64, d}));
+    for (int64_t bi = 0; bi < 2; ++bi) {
+      for (int64_t pos = 0; pos < 64; ++pos) {
+        for (int64_t j = 0; j < d; ++j) {
+          const float want = DirectPositionalValue(pos, j, d);
+          EXPECT_EQ(std::memcmp(&y.data()[(bi * 64 + pos) * d + j], &want,
+                                sizeof(float)),
+                    0)
+              << "d=" << d << " pos=" << pos << " j=" << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(PositionalEncodingTest, OffsetMatchesShiftedPosition) {
