@@ -49,6 +49,7 @@ std::unique_ptr<DecodeState> HybridSeq2Seq::StartDecode(
   auto state = std::make_unique<RnnDecodeState>();
   const EncodedBatch src = PadBatch({src_ids});
   state->memory = encoder_.Forward(src);
+  state->memory_proj = decoder_.ProjectMemory(state->memory);
   state->src_mask = src.mask;
   state->hidden = decoder_.cell().StateFromOutput(
       InitialHidden(state->memory, src.mask));

@@ -206,9 +206,15 @@ RnnDecoder::RnnDecoder(const Seq2SeqConfig& config, CellType cell_type,
   RegisterModule(&out_proj_);
 }
 
+Tensor RnnDecoder::ProjectMemory(const Tensor& memory) const {
+  if (attention_ == AttentionKind::kDot) return Tensor();
+  return attn_mem_.Forward(memory);
+}
+
 Tensor RnnDecoder::AttendContext(const Tensor& memory,
                                  const std::vector<float>& src_mask,
-                                 const Tensor& h) const {
+                                 const Tensor& h,
+                                 const Tensor& memory_proj) const {
   const int64_t b = memory.shape().dim(0);
   const int64_t ts = memory.shape().dim(1);
   Tensor scores;  // [B, 1, Ts]
@@ -216,9 +222,11 @@ Tensor RnnDecoder::AttendContext(const Tensor& memory,
     scores = MatMul(To3D(h), memory, /*trans_a=*/false, /*trans_b=*/true);
   } else {
     // Additive: v^T tanh(W_m memory + W_h h).
-    Tensor e = TanhOp(AddRowBroadcast(attn_mem_.Forward(memory),
-                                      attn_h_.Forward(h)));  // [B,Ts,D]
-    scores = TransposeLast2(MatMul(e, attn_v_));             // [B,1,Ts]
+    const Tensor projected =
+        memory_proj.defined() ? memory_proj : ProjectMemory(memory);
+    Tensor e = TanhOp(
+        AddRowBroadcast(projected, attn_h_.Forward(h)));  // [B,Ts,D]
+    scores = TransposeLast2(MatMul(e, attn_v_));         // [B,1,Ts]
   }
   std::vector<float> blocked(b * ts, 0.0f);
   for (int64_t i = 0; i < b * ts; ++i) {
@@ -259,11 +267,12 @@ RnnDecoder::StepOutput RnnDecoder::Step(
 
 RnnDecoder::StepOutput RnnDecoder::StepState(
     const Tensor& memory, const std::vector<float>& src_mask,
-    const Tensor& state, const std::vector<int32_t>& tokens) const {
+    const Tensor& state, const std::vector<int32_t>& tokens,
+    const Tensor& memory_proj) const {
   const int64_t b = state.shape().dim(0);
   Tensor h = cell_->OutputFromState(state);
   Tensor emb = To2D(embedding_.Forward(tokens, b, 1));       // [B, D]
-  Tensor ctx = AttendContext(memory, src_mask, h);           // [B, D]
+  Tensor ctx = AttendContext(memory, src_mask, h, memory_proj);  // [B, D]
   Tensor x = ConcatLastDim(emb, ctx);                        // [B, 2D]
   Tensor state_new = cell_->Step(x, state);
   Tensor logits = out_proj_.Forward(
@@ -298,6 +307,7 @@ std::unique_ptr<DecodeState> RnnSeq2Seq::StartDecode(
   const EncodedBatch src = PadBatch({src_ids});
   RnnEncoder::Output enc = encoder_.Forward(src);
   state->memory = enc.outputs;
+  state->memory_proj = decoder_.ProjectMemory(state->memory);
   state->src_mask = src.mask;
   state->hidden = decoder_.cell().StateFromOutput(
       TanhOp(bridge_.Forward(enc.final_hidden)));
@@ -334,16 +344,19 @@ std::vector<std::vector<float>> StepRnnDecodeStates(
     return *static_cast<RnnDecodeState*>(states[i]);
   };
   std::vector<const Tensor*> memory;
+  std::vector<const Tensor*> memory_proj;
   std::vector<const Tensor*> hidden;
   std::vector<float> src_mask;
   for (int64_t i = 0; i < k; ++i) {
     memory.push_back(&state(i).memory);
+    memory_proj.push_back(&state(i).memory_proj);
     hidden.push_back(&state(i).hidden);
     src_mask.insert(src_mask.end(), state(i).src_mask.begin(),
                     state(i).src_mask.end());
   }
   const RnnDecoder::StepOutput out = decoder.StepState(
-      StackStates(memory), src_mask, StackStates(hidden), tokens);
+      StackStates(memory), src_mask, StackStates(hidden), tokens,
+      state(0).memory_proj.defined() ? StackStates(memory_proj) : Tensor());
   const int64_t width = out.hidden.shape().dim(1);
   for (int64_t i = 0; i < k; ++i) {
     state(i).hidden =
@@ -357,14 +370,7 @@ std::vector<std::vector<float>> StepRnnDecodeStates(
 }
 
 std::unique_ptr<DecodeState> RnnDecodeState::Clone() const {
-  auto copy = std::make_unique<RnnDecodeState>();
-  copy->memory = memory;      // Shared: immutable after encoding.
-  copy->src_mask = src_mask;
-  // Hidden state is mutated per step; deep-copy it.
-  copy->hidden = Tensor::FromData(
-      hidden.shape(),
-      std::vector<float>(hidden.data(), hidden.data() + hidden.NumElements()));
-  return copy;
+  return std::make_unique<RnnDecodeState>(*this);
 }
 
 }  // namespace cyqr

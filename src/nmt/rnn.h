@@ -133,10 +133,17 @@ class RnnDecoder : public Module {
 
   /// One decode step from a full cell state [B, state_size] — the form
   /// incremental decoding uses so LSTM memory persists across steps.
+  /// `memory_proj`, when defined, is ProjectMemory(memory), computed once
+  /// per decode; when undefined the step projects the memory itself.
   StepOutput StepState(const Tensor& memory,
                        const std::vector<float>& src_mask,
                        const Tensor& state,
-                       const std::vector<int32_t>& tokens) const;
+                       const std::vector<int32_t>& tokens,
+                       const Tensor& memory_proj = Tensor()) const;
+
+  /// The additive attention's projection of `memory` [B, Ts, D], which
+  /// depends on the memory alone; undefined for dot attention.
+  Tensor ProjectMemory(const Tensor& memory) const;
 
   const RnnCell& cell() const { return *cell_; }
 
@@ -149,8 +156,8 @@ class RnnDecoder : public Module {
 
  private:
   Tensor AttendContext(const Tensor& memory,
-                       const std::vector<float>& src_mask,
-                       const Tensor& h) const;
+                       const std::vector<float>& src_mask, const Tensor& h,
+                       const Tensor& memory_proj) const;
 
   Seq2SeqConfig config_;
   CellType cell_type_;
@@ -197,20 +204,24 @@ class RnnSeq2Seq : public Seq2SeqModel {
 
 /// Shared decode-state for all models that pair a memory tensor with a
 /// recurrent decoder (RnnSeq2Seq and HybridSeq2Seq).
+/// No step writes into a tensor the state holds (a step replaces
+/// `hidden`), so a clone shares every handle.
 class RnnDecodeState : public DecodeState {
  public:
   Tensor memory;                // [1, Ts, D]
+  Tensor memory_proj;           // [1, Ts, D] RnnDecoder::ProjectMemory.
   std::vector<float> src_mask;  // [Ts]
-  Tensor hidden;                // [1, D]
+  Tensor hidden;                // [1, state_size]
 
   std::unique_ptr<DecodeState> Clone() const override;
 };
 
 /// One decode step of k RnnDecodeStates through `decoder` as one batch:
-/// their cell states stacked to [k, S] and their memories and masks to
-/// [k, Ts, D] (one Ts for all), then a single StepState. Every row of it
-/// computes what a one-state step does, bit for bit. Feeds tokens[i] to
-/// states[i], stores its new cell state and returns its logits row.
+/// their cell states stacked to [k, S] and their memories, projected
+/// memories and masks to [k, Ts, D] (one Ts for all), then a single
+/// StepState. Every row of it computes what a one-state step does, bit for
+/// bit. Feeds tokens[i] to states[i], stores its new cell state and
+/// returns its logits row.
 std::vector<std::vector<float>> StepRnnDecodeStates(
     const RnnDecoder& decoder, const std::vector<DecodeState*>& states,
     const std::vector<int32_t>& tokens);

@@ -30,20 +30,6 @@ void FlattenGradients(const std::vector<Tensor>& params,
   }
 }
 
-void LoadGradients(const std::vector<Tensor>& params,
-                   const std::vector<float>& flat, float scale) {
-  CYQR_CHECK_EQ(static_cast<int64_t>(flat.size()),
-                TotalParameterSize(params));
-  size_t offset = 0;
-  for (const Tensor& p : params) {
-    Tensor t = p;  // Handles share storage; copy is an alias.
-    float* grad = t.mutable_grad();
-    const size_t n = static_cast<size_t>(t.NumElements());
-    for (size_t e = 0; e < n; ++e) grad[e] = flat[offset + e] * scale;
-    offset += n;
-  }
-}
-
 void CopyParameters(const std::vector<Tensor>& dst,
                     const std::vector<Tensor>& src) {
   CYQR_CHECK_EQ(dst.size(), src.size());

@@ -9,9 +9,9 @@ namespace cyqr {
 
 /// Gradient accumulation seam for data-parallel training: flat float
 /// vectors are what the collective all-reduce sums, and parameter copies
-/// are how worker replicas track the coordinator's master model. All three
-/// helpers walk the parameter list in its stable registration order, so a
-/// flattened gradient round-trips bit-identically on any rank.
+/// are how worker replicas track the coordinator's master model. Both
+/// helpers walk the parameter list in its stable registration order, the
+/// flat layout Adam::StepRange reads the reduced gradient in.
 
 /// Total number of scalars across `params`.
 int64_t TotalParameterSize(const std::vector<Tensor>& params);
@@ -24,12 +24,6 @@ int64_t TotalParameterSize(const std::vector<Tensor>& params);
 /// produces a full-length, summable vector.
 void FlattenGradients(const std::vector<Tensor>& params,
                       std::vector<float>* flat);
-
-/// Scatters `flat * scale` back into the parameters' gradient buffers
-/// (overwriting, not accumulating). `flat` must have exactly
-/// TotalParameterSize(params) elements.
-void LoadGradients(const std::vector<Tensor>& params,
-                   const std::vector<float>& flat, float scale);
 
 /// Copies parameter *values* src -> dst elementwise. The two lists must
 /// be congruent (same count, same shapes) — replicas built from the same

@@ -21,9 +21,8 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
 
 Tensor Linear::Forward(const Tensor& x) const {
   CYQR_CHECK_EQ(x.shape().back(), in_features_);
-  Tensor y = MatMul(x, weight_);
-  if (bias_.defined()) y = Add(y, bias_);
-  return y;
+  if (bias_.defined()) return Affine(x, weight_, bias_);
+  return MatMul(x, weight_);
 }
 
 Embedding::Embedding(int64_t vocab_size, int64_t dim, Rng& rng)

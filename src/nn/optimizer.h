@@ -1,6 +1,7 @@
 #ifndef CYCLEQR_NN_OPTIMIZER_H_
 #define CYCLEQR_NN_OPTIMIZER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/status.h"
@@ -37,6 +38,16 @@ class Adam {
   /// gradient buffer are skipped.
   void Step();
 
+  /// One slice of update number `step` over the parameters laid end to end
+  /// in registration order: updates the elements [begin, end), reading
+  /// element e's gradient as (flat_grad[e] * grad_scale) * clip_scale, the
+  /// float products a gradient load, a clip and Step() take. A clip_scale
+  /// of 1 leaves every finite gradient as it is. Leaves step_count() alone,
+  /// so slices over disjoint ranges may run on different threads at once;
+  /// once every slice has run, set_step_count(step) commits the update.
+  void StepRange(int64_t step, int64_t begin, int64_t end,
+                 const float* flat_grad, float grad_scale, float clip_scale);
+
   /// Zeroes all parameter gradients.
   void ZeroGrad();
 
@@ -51,6 +62,7 @@ class Adam {
   void set_learning_rate(float lr) { options_.learning_rate = lr; }
   float learning_rate() const { return options_.learning_rate; }
   int64_t step_count() const { return step_; }
+  void set_step_count(int64_t step) { step_ = step; }
 
  private:
   std::vector<Tensor> params_;

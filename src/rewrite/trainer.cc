@@ -143,6 +143,7 @@ Tensor ComputeBatchLoss(CycleModel& model, const CycleTrainerOptions& options,
 /// step's first barrier, read by every rank after it.
 struct StepPlan {
   int64_t step = 0;
+  int64_t adam_step = 0;  // The optimizer update this step applies.
   bool cyclic = false;
   bool stop = false;
   std::vector<SeqPair> batch;  // The full global batch, shard-sliced later.
@@ -233,6 +234,59 @@ Status ComputeOwnedShards(int rank, const StepPlan& plan, CycleModel& model,
     return ctx.collective.StallUntilAborted();
   }
   return Status::OK();
+}
+
+/// What every rank derives, alike, from the shard losses and the reduced
+/// gradient in slot 0: the mean loss, the pre-clip gradient norm, whether
+/// the step is skipped, and the clip scale.
+struct StepVerdict {
+  double loss = 0.0;
+  double grad_norm = 0.0;
+  bool anomaly = false;
+  float clip_scale = 1.0f;  // 1 when the norm is within the clip.
+};
+
+/// The optimizer tail of a step on `rank`. Every rank first reaches the
+/// same verdict from slot 0 and the shard losses; its norm is the sum
+/// ClipGradNorm takes over the averaged gradients, the squares of
+/// g = slot0[e] * (1/S) in element order. Unless the step is skipped, the
+/// rank then applies its slice [n*r/K, n*(r+1)/K) of the Adam update to
+/// the master parameters. The slices are disjoint, so the ranks run them
+/// at once; the caller's next barrier publishes them.
+StepVerdict StepOptimizerSlice(int rank, const StepPlan& plan,
+                               const CycleTrainerOptions& options,
+                               const DataParallelContext& ctx,
+                               Adam& optimizer) {
+  const std::vector<float>& reduced = ctx.slots[0];
+  StepVerdict verdict;
+  for (const double shard_loss : ctx.shard_losses) verdict.loss += shard_loss;
+  verdict.loss /= static_cast<double>(ctx.slots.size());
+  if (options.fault_plan.StepHasNanLoss(plan.step)) {
+    // Drill hook: pretend this batch produced a NaN loss.
+    verdict.loss = std::numeric_limits<double>::quiet_NaN();
+  }
+  const float grad_scale = 1.0f / static_cast<float>(ctx.slots.size());
+  double sq = 0.0;
+  for (const float sum : reduced) {
+    const float g = sum * grad_scale;
+    sq += static_cast<double>(g) * g;
+  }
+  verdict.grad_norm = std::sqrt(sq);
+  verdict.anomaly = !std::isfinite(verdict.loss) ||
+                    !std::isfinite(verdict.grad_norm) ||
+                    verdict.grad_norm > options.anomaly_grad_norm;
+  if (verdict.grad_norm > options.grad_clip && verdict.grad_norm > 0.0) {
+    verdict.clip_scale =
+        static_cast<float>(options.grad_clip / verdict.grad_norm);
+  }
+  if (!verdict.anomaly) {
+    const int64_t n = static_cast<int64_t>(reduced.size());
+    const int64_t world = ctx.collective.world_size();
+    optimizer.StepRange(plan.adam_step, n * rank / world,
+                        n * (rank + 1) / world, reduced.data(), grad_scale,
+                        verdict.clip_scale);
+  }
+  return verdict;
 }
 
 /// Barrier() wrapped in a flight event: args = (step, wait micros). The
@@ -597,12 +651,12 @@ Status CycleTrainer::TrainDataParallel(
   collective_options.timeout_millis = options_.collective_timeout_millis;
   DataParallelContext ctx(collective_options, options_.grad_shards,
                           TotalParameterSize(model_->Parameters()));
-  const int64_t num_shards = options_.grad_shards;
 
   // Ranks 1..K-1 are worker threads; the calling thread is rank 0, the
   // coordinator. Workers hold a private replica model and copy the master
-  // parameters at the top of every step — the master is only mutated while
-  // every worker is parked at the next step's opening barrier.
+  // parameters at the top of every step. Each rank writes its own slice of
+  // the master's Adam update between the all-reduce and the tail barrier;
+  // otherwise the master is only mutated while every worker is parked.
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(options_.workers - 1));
   for (int64_t r = 1; r < options_.workers; ++r) {
@@ -626,6 +680,9 @@ Status CycleTrainer::TrainDataParallel(
         // Compute barrier.
         if (!TimedBarrier(ctx.collective, plan.step).ok()) return;
         if (!ctx.collective.AllReduceSum(rank, &ctx.slots).ok()) return;
+        StepOptimizerSlice(rank, plan, options_, ctx, optimizer_);
+        // Tail barrier.
+        if (!TimedBarrier(ctx.collective, plan.step).ok()) return;
       }
     }, static_cast<int>(r));
   }
@@ -640,6 +697,7 @@ Status CycleTrainer::TrainDataParallel(
     }
     StepPlan plan;
     plan.step = next_step;
+    plan.adam_step = optimizer_.step_count() + 1;
     plan.cyclic = options_.joint && next_step > options_.warmup_steps;
     plan.batch = SampleBatch();
     int64_t batch_tokens = 0;
@@ -654,6 +712,9 @@ Status CycleTrainer::TrainDataParallel(
     FlightRecorder::Global().Record(FlightCategory::kTrain,
                                     kDpStepBeginEvent, next_step,
                                     batch_tokens);
+    // Every rank reads the learning rate in its optimizer slice; the plan
+    // barrier publishes it with the plan.
+    optimizer_.set_learning_rate(schedule_.LearningRate(next_step));
     ctx.PublishPlan(plan);
     run_status = TimedBarrier(ctx.collective, next_step);  // Plan barrier.
     if (!run_status.ok()) break;
@@ -667,32 +728,23 @@ Status CycleTrainer::TrainDataParallel(
     if (!run_status.ok()) break;
     const double allreduce_millis = allreduce_watch.ElapsedMillis();
 
-    // The coordinator owns everything from here to the next plan barrier:
-    // the optimizer step, the traces, evaluation, and checkpointing all
-    // happen while the workers are parked, so no collective can be torn
-    // by a mid-step checkpoint and rank 0 is the only writer of
-    // curve/grad-norm state.
-    ++step_;
-    optimizer_.set_learning_rate(schedule_.LearningRate(step_));
-    double loss_value = 0.0;
-    for (const double shard_loss : ctx.shard_losses) {
-      loss_value += shard_loss;
-    }
-    loss_value /= static_cast<double>(num_shards);
-    if (options_.fault_plan.StepHasNanLoss(step_)) {
-      loss_value = std::numeric_limits<double>::quiet_NaN();
-    }
-    // Slot 0 holds the tree-reduced sum over all shards; average it into
-    // the master gradients.
+    // Every rank judges the step from slot 0 itself, so the verdict needs
+    // no barrier, and steps its slice of the master parameters. After the
+    // tail barrier the coordinator owns everything up to the next plan
+    // barrier: the traces, evaluation, and checkpointing all happen while
+    // the workers are parked, so no collective can be torn by a mid-step
+    // checkpoint and rank 0 is the only writer of curve/grad-norm state.
     Stopwatch optimizer_watch;
-    LoadGradients(model_->Parameters(), ctx.slots[0],
-                  1.0f / static_cast<float>(num_shards));
-    const double grad_norm =
-        ClipGradNorm(model_->Parameters(), options_.grad_clip);
+    const StepVerdict verdict =
+        StepOptimizerSlice(0, plan, options_, ctx, optimizer_);
+    run_status = TimedBarrier(ctx.collective, next_step);  // Tail barrier.
+    if (!run_status.ok()) break;
+    const double optimizer_millis = optimizer_watch.ElapsedMillis();
+    ++step_;
+    const double loss_value = verdict.loss;
+    const double grad_norm = verdict.grad_norm;
+    const bool anomaly = verdict.anomaly;
     grad_norms_.push_back(grad_norm);
-    const bool anomaly = !std::isfinite(loss_value) ||
-                         !std::isfinite(grad_norm) ||
-                         grad_norm > options_.anomaly_grad_norm;
     if (anomaly) {
       ++consecutive_anomalies_;
       ++skipped_batches_;
@@ -704,9 +756,8 @@ Status CycleTrainer::TrainDataParallel(
                                       consecutive_anomalies_);
     } else {
       consecutive_anomalies_ = 0;
-      optimizer_.Step();
+      optimizer_.set_step_count(plan.adam_step);
     }
-    const double optimizer_millis = optimizer_watch.ElapsedMillis();
     if (obs_ != nullptr) {
       const double step_seconds = step_watch.ElapsedSeconds();
       obs_->steps->Increment();

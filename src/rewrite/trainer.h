@@ -82,8 +82,9 @@ struct CycleTrainerOptions {
   // Number of worker threads K (ranks). 0 keeps the legacy in-thread loop
   // bit-for-bit. K >= 1 runs the synchronous data-parallel engine
   // (DESIGN.md "Data-parallel training"): the calling thread is rank 0
-  // (the coordinator, which owns the optimizer step, evaluation, and every
-  // checkpoint write), ranks 1..K-1 compute on replica models. The
+  // (the coordinator, which owns evaluation and every checkpoint write),
+  // ranks 1..K-1 compute on replica models, and every rank applies its
+  // slice of the optimizer update. The
   // parameter trajectory depends on `grad_shards`, never on K — K=1 and
   // K=4 produce bit-identical parameters.
   int64_t workers = 0;
@@ -171,7 +172,8 @@ class CycleTrainer {
     Histogram* checkpoint_write = nullptr;
     Histogram* collective_wait = nullptr;
     // The coordinator's gradient tail of a data-parallel step: its slice
-    // of the all-reduce plus the closing barrier, then load + clip + Adam.
+    // of the all-reduce plus the closing barrier, then the gradient norm,
+    // its slice of the Adam update and the tail barrier.
     Histogram* allreduce = nullptr;
     Histogram* optimizer = nullptr;
     Gauge* tokens_per_sec = nullptr;

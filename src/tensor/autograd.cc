@@ -21,16 +21,6 @@ Tensor OpOutput(const Shape& shape, std::vector<float> data) {
   return Tensor(std::move(impl));
 }
 
-void Record(Tensor& out, std::vector<std::shared_ptr<TensorImpl>> inputs,
-            std::function<void(TensorImpl&)> backward, const char* name) {
-  auto node = std::make_shared<GradNode>();
-  node->name = name;
-  node->inputs = std::move(inputs);
-  node->backward = std::move(backward);
-  out.impl()->node = std::move(node);
-  out.impl()->requires_grad = true;
-}
-
 }  // namespace autograd_internal
 
 int64_t ThreadOpCount() { return g_op_count; }

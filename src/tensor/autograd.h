@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,9 +23,20 @@ namespace autograd_internal {
 /// Wraps an op's output values in a fresh tensor and counts the op.
 Tensor OpOutput(const Shape& shape, std::vector<float> data);
 
-/// Attaches a tape node over `inputs` to `out`.
-void Record(Tensor& out, std::vector<std::shared_ptr<TensorImpl>> inputs,
-            std::function<void(TensorImpl&)> backward, const char* name);
+/// The tape node of one op: its inputs and its backward closure, built in
+/// one allocation.
+template <typename Fn>
+class OpNode final : public GradNode {
+ public:
+  template <typename F>
+  OpNode(F&& backward, const char* name)
+      : GradNode(name), backward_(std::forward<F>(backward)) {}
+
+  void Backward(TensorImpl& out) override { backward_(out); }
+
+ private:
+  Fn backward_;
+};
 
 template <typename Inputs>
 bool AnyInputNeedsGrad(const Inputs& inputs) {
@@ -43,12 +55,11 @@ Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
                     const char* name) {
   Tensor out = OpOutput(shape, std::move(data));
   if (AnyInputNeedsGrad(inputs)) {
-    std::vector<std::shared_ptr<TensorImpl>> impls;
-    impls.reserve(inputs.size());
-    for (const Tensor& t : inputs) impls.push_back(t.impl());
-    Record(out, std::move(impls),
-           std::function<void(TensorImpl&)>(std::forward<Backward>(backward)),
-           name);
+    auto node = std::make_shared<OpNode<std::decay_t<Backward>>>(
+        std::forward<Backward>(backward), name);
+    node->SetInputs(inputs);
+    out.impl()->node = std::move(node);
+    out.impl()->requires_grad = true;
   }
   return out;
 }
@@ -67,9 +78,10 @@ inline bool OpRecords(OpInputList inputs) {
 /// receives the *output* impl (its .grad is the upstream gradient).
 ///
 /// Nothing that only backward needs is built unless the op records: the
-/// closure stays the caller's object (never copied, moved or wrapped in a
-/// std::function) and no GradNode is allocated. An op under NoGradGuard
-/// costs its output buffer and its TensorImpl.
+/// closure stays the caller's object (never copied or moved) and no
+/// GradNode is allocated. An op under NoGradGuard costs its output buffer
+/// and its TensorImpl; a recording op adds one allocation, the node that
+/// holds its inputs and its closure.
 template <typename Backward>
 Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
                     OpInputList inputs, Backward&& backward,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "core/check.h"
@@ -42,6 +44,19 @@ Shape WithLastDim(const Shape& s, int64_t d) {
   std::copy(s.dims().begin(), s.dims().end(), dims.begin());
   dims[s.rank() - 1] = d;
   return Shape(std::span<const int64_t>(dims.data(), s.rank()));
+}
+
+/// dx[i] += dy[i] where x[i] > 0, selected through an integer mask rather
+/// than a branch: the sign of x is data, so a branch on it mispredicts
+/// (and GCC turns a float ?: back into one). The bits are the branch's.
+void ReluBackward(const float* __restrict x, const float* __restrict dy,
+                  float* __restrict dx, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t taken = std::bit_cast<uint32_t>(dx[i] + dy[i]);
+    const uint32_t kept = std::bit_cast<uint32_t>(dx[i]);
+    const uint32_t mask = 0u - static_cast<uint32_t>(x[i] > 0.0f);
+    dx[i] = std::bit_cast<float>((taken & mask) | (kept & ~mask));
+  }
 }
 
 }  // namespace
@@ -235,6 +250,52 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
       "MatMul");
 }
 
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b) {
+  const MatDims dx = GetMatDims(x.shape());
+  CYQR_CHECK_EQ(w.shape().rank(), 2);
+  CYQR_CHECK_EQ(w.shape().dim(0), dx.cols);
+  const int64_t m = dx.batch * dx.rows;
+  const int64_t k = dx.cols;
+  const int64_t n = w.shape().dim(1);
+  CYQR_CHECK(b.shape().rank() == 1 && b.shape().dim(0) == n);
+  std::vector<float> out(m * n);
+  GemmRaw(false, false, m, n, k, x.data(), w.data(), out.data(),
+          /*accumulate=*/false);
+  const float* pb = b.data();
+  for (int64_t r = 0; r < m; ++r) {
+    float* row = out.data() + r * n;
+    for (int64_t j = 0; j < n; ++j) row[j] = row[j] + pb[j];
+  }
+  auto ix = Impl(x);
+  auto iw = Impl(w);
+  auto ib = Impl(b);
+  return MakeOpResult(
+      WithLastDim(x.shape(), n), std::move(out), {x, w, b},
+      [ix, iw, ib, m, n, k](TensorImpl& o) {
+        // dY is read where the pair's MatMul read 0 + dY: the same bits,
+        // because no stored gradient is -0 (see DESIGN.md).
+        const float* dy = o.grad.data();
+        if (ib->requires_grad || ib->node) {
+          ib->EnsureGrad();
+          float* db = ib->grad.data();
+          for (int64_t r = 0; r < m; ++r) {
+            for (int64_t j = 0; j < n; ++j) db[j] += dy[r * n + j];
+          }
+        }
+        if (ix->requires_grad || ix->node) {
+          ix->EnsureGrad();
+          GemmRaw(false, true, m, k, n, dy, iw->data.data(), ix->grad.data(),
+                  /*accumulate=*/true);
+        }
+        if (iw->requires_grad || iw->node) {
+          iw->EnsureGrad();
+          GemmRaw(true, false, k, n, m, ix->data.data(), dy, iw->grad.data(),
+                  /*accumulate=*/true);
+        }
+      },
+      "Affine");
+}
+
 Tensor TransposeLast2(const Tensor& x) {
   const MatDims d = GetMatDims(x.shape());
   std::vector<float> out(x.NumElements());
@@ -279,9 +340,7 @@ Tensor Relu(const Tensor& a) {
       a.shape(), std::move(out), {a},
       [ia, n](TensorImpl& o) {
         ia->EnsureGrad();
-        for (int64_t i = 0; i < n; ++i) {
-          if (ia->data[i] > 0.0f) ia->grad[i] += o.grad[i];
-        }
+        ReluBackward(ia->data.data(), o.grad.data(), ia->grad.data(), n);
       },
       "Relu");
 }
@@ -890,7 +949,7 @@ Tensor StackRows(const std::vector<Tensor>& steps) {
   for (const Tensor& s : steps) impls.push_back(s.impl());
   return MakeOpResult(
       Shape{b, t, d}, std::move(out), steps,
-      [impls, b, t, d](TensorImpl& o) {
+      [impls = std::move(impls), b, t, d](TensorImpl& o) {
         for (int64_t ti = 0; ti < t; ++ti) {
           TensorImpl& in = *impls[ti];
           if (!in.requires_grad && in.node == nullptr) continue;

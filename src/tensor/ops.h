@@ -42,6 +42,13 @@ Tensor AddScalar(const Tensor& a, float s);
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 
+/// x W + b for x [..., in] (rank 2 or 3), W [in, out] and b [out]: one op
+/// with the bits of Add(MatMul(x, W), b). Forward is the GEMM into the
+/// output, then out[r][j] + b[j] row by row. Backward accumulates the bias
+/// gradient over the rows in order, then dX += dY W^T, then dW += X^T dY:
+/// the order the MatMul-then-Add pair ran them in.
+Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b);
+
 /// Swaps the trailing two dims: [..., m, n] -> [..., n, m].
 Tensor TransposeLast2(const Tensor& x);
 

@@ -1,6 +1,6 @@
 #include "tensor/tensor.h"
 
-#include <unordered_set>
+#include <atomic>
 
 #include "core/check.h"
 
@@ -8,6 +8,7 @@ namespace cyqr {
 
 namespace {
 thread_local bool g_grad_enabled = true;
+std::atomic<uint64_t> g_last_walk_stamp{0};
 }  // namespace
 
 Tensor Tensor::Zeros(const Shape& shape) { return Full(shape, 0.0f); }
@@ -91,21 +92,26 @@ void Tensor::Backward() {
   CYQR_CHECK(impl_ != nullptr);
   CYQR_CHECK_MSG(impl_->data.size() == 1u,
                  "Backward() requires a scalar tensor");
-  // Topological sort of the tape reachable from this output.
+  // Topological sort of the tape reachable from this output. A tensor is
+  // visited once it carries this walk's stamp.
+  // ordering: relaxed — the counter only hands each walk a stamp no other
+  // walk holds; the stamps it writes are read by this thread alone.
+  const uint64_t stamp =
+      g_last_walk_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
   std::vector<TensorImpl*> order;
-  std::unordered_set<TensorImpl*> visited;
   std::vector<std::pair<TensorImpl*, size_t>> stack;
   stack.emplace_back(impl_.get(), 0);
-  visited.insert(impl_.get());
+  impl_->walk_stamp = stamp;
   while (!stack.empty()) {
     auto& [node, next_child] = stack.back();
-    if (node->node == nullptr || next_child >= node->node->inputs.size()) {
+    if (node->node == nullptr || next_child >= node->node->num_inputs()) {
       order.push_back(node);
       stack.pop_back();
       continue;
     }
-    TensorImpl* child = node->node->inputs[next_child++].get();
-    if (visited.insert(child).second) {
+    TensorImpl* child = node->node->input(next_child++).get();
+    if (child->walk_stamp != stamp) {
+      child->walk_stamp = stamp;
       stack.emplace_back(child, 0);
     }
   }
@@ -116,7 +122,7 @@ void Tensor::Backward() {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl* t = *it;
     if (t->node != nullptr && !t->grad.empty()) {
-      t->node->backward(*t);
+      t->node->Backward(*t);
     }
   }
 }

@@ -1,7 +1,9 @@
 #ifndef CYCLEQR_TENSOR_TENSOR_H_
 #define CYCLEQR_TENSOR_TENSOR_H_
 
-#include <functional>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,7 +13,7 @@
 
 namespace cyqr {
 
-struct GradNode;
+class GradNode;
 
 /// Shared storage + autograd metadata behind a Tensor handle.
 struct TensorImpl {
@@ -20,18 +22,14 @@ struct TensorImpl {
   std::vector<float> grad;  // Lazily allocated; same size as data when live.
   bool requires_grad = false;
   std::shared_ptr<GradNode> node;  // Non-null for non-leaf grad tensors.
+  // The stamp of the last Backward() walk that reached this tensor. Each
+  // walk takes a fresh stamp, so no walk has to clear it; no tensor is
+  // reached by two walks at once (every training rank owns its replica).
+  uint64_t walk_stamp = 0;
 
   void EnsureGrad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
   }
-};
-
-/// A node in the dynamic autograd tape. `backward` reads `out.grad` and
-/// accumulates into each input's grad (allocating it on demand).
-struct GradNode {
-  const char* name = "";
-  std::vector<std::shared_ptr<TensorImpl>> inputs;
-  std::function<void(TensorImpl& out)> backward;
 };
 
 /// Value-semantics handle to a float32 tensor with reverse-mode autograd.
@@ -84,6 +82,53 @@ class Tensor {
 
  private:
   std::shared_ptr<TensorImpl> impl_;
+};
+
+/// A node in the dynamic autograd tape: the inputs of one op and its
+/// backward, which reads `out.grad` and accumulates into each input's grad
+/// (allocating it on demand). MakeOpResult (tensor/autograd.h) derives one
+/// node type per op closure, so a node and its closure are one allocation.
+/// Up to kInlineInputs inputs live in the node itself; an op with more
+/// (StackRows) keeps them all in a vector.
+class GradNode {
+ public:
+  static constexpr size_t kInlineInputs = 3;
+
+  explicit GradNode(const char* op_name) : name(op_name) {}
+  virtual ~GradNode() = default;
+  GradNode(const GradNode&) = delete;
+  GradNode& operator=(const GradNode&) = delete;
+  GradNode(GradNode&&) = delete;
+  GradNode& operator=(GradNode&&) = delete;
+
+  virtual void Backward(TensorImpl& out) = 0;
+
+  /// Stores the impls of `inputs` (tensors), in order.
+  template <typename Inputs>
+  void SetInputs(const Inputs& inputs) {
+    num_inputs_ = inputs.size();
+    if (num_inputs_ > kInlineInputs) spilled_.reserve(num_inputs_);
+    size_t i = 0;
+    for (const Tensor& t : inputs) {
+      if (num_inputs_ > kInlineInputs) {
+        spilled_.push_back(t.impl());
+      } else {
+        inline_[i++] = t.impl();
+      }
+    }
+  }
+
+  size_t num_inputs() const { return num_inputs_; }
+  const std::shared_ptr<TensorImpl>& input(size_t i) const {
+    return num_inputs_ > kInlineInputs ? spilled_[i] : inline_[i];
+  }
+
+  const char* name;
+
+ private:
+  size_t num_inputs_ = 0;
+  std::array<std::shared_ptr<TensorImpl>, kInlineInputs> inline_;
+  std::vector<std::shared_ptr<TensorImpl>> spilled_;
 };
 
 /// RAII guard that disables tape recording (used during decoding/serving).

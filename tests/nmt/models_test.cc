@@ -109,6 +109,26 @@ TEST_P(Seq2SeqArchTest, ClonedStatesEvolveIndependently) {
   for (int v = 0; v < 20; ++v) EXPECT_NEAR(la[v], lc[v], 1e-5f);
 }
 
+TEST_P(Seq2SeqArchTest, SteppingACloneLeavesItsSourceAlone) {
+  Rng rng(3);
+  auto model = MakeByName(GetParam(), SmallConfig(), rng);
+  model->SetTraining(false);
+  NoGradGuard no_grad;
+  auto reference = model->StartDecode({4, 5, 6});
+  model->Step(*reference, kBosId);
+  const std::vector<float> want = model->Step(*reference, 6);
+
+  auto source = model->StartDecode({4, 5, 6});
+  model->Step(*source, kBosId);
+  auto clone = source->Clone();
+  model->Step(*clone, 7);  // The clone steps first, with another token.
+  model->Step(*clone, 8);
+  const std::vector<float> got = model->Step(*source, 6);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
 TEST_P(Seq2SeqArchTest, OverfitsTinyDataset) {
   Rng rng(4);
   auto model = MakeByName(GetParam(), SmallConfig(), rng);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "nn/module.h"
 #include "nn/schedule.h"
 #include "tensor/ops.h"
 
@@ -128,6 +129,118 @@ TEST(AdamTest, FirstStepSizeIsLearningRate) {
   SumAll(x).Backward();  // grad = 1.
   adam.Step();
   EXPECT_NEAR(x.data()[0], 9.5f, 1e-3f);
+}
+
+/// The data-parallel optimizer tail StepRange replaced, kept as the
+/// oracle: scatter the averaged flat gradient into the parameters'
+/// gradient buffers, clip them, then one whole Step().
+void LoadClipAndStep(Adam& adam, const std::vector<Tensor>& params,
+                     const std::vector<float>& flat, float scale,
+                     double max_norm) {
+  size_t offset = 0;
+  for (const Tensor& p : params) {
+    Tensor t = p;
+    float* grad = t.mutable_grad();
+    for (int64_t e = 0; e < t.NumElements(); ++e) {
+      grad[e] = flat[offset + e] * scale;
+    }
+    offset += static_cast<size_t>(t.NumElements());
+  }
+  ClipGradNorm(params, max_norm);
+  adam.Step();
+}
+
+/// The same update as `k` slices over the flat elements, as the trainer's
+/// ranks run it: the clip scale from the norm of the averaged gradient,
+/// every slice, then the commit.
+void SlicedStep(Adam& adam, int k, const std::vector<float>& flat,
+                float scale, double max_norm) {
+  double sq = 0.0;
+  for (const float sum : flat) {
+    const float g = sum * scale;
+    sq += static_cast<double>(g) * g;
+  }
+  const double norm = std::sqrt(sq);
+  const float clip =
+      norm > max_norm && norm > 0.0 ? static_cast<float>(max_norm / norm)
+                                    : 1.0f;
+  const int64_t n = static_cast<int64_t>(flat.size());
+  const int64_t step = adam.step_count() + 1;
+  // Last slice first: the slices are independent.
+  for (int r = k - 1; r >= 0; --r) {
+    adam.StepRange(step, n * r / k, n * (r + 1) / k, flat.data(), scale, clip);
+  }
+  EXPECT_EQ(adam.step_count(), step - 1) << "a slice committed the step";
+  adam.set_step_count(step);
+}
+
+TEST(AdamTest, SlicedStepMatchesLoadClipAndStepBitForBit) {
+  const std::vector<int64_t> sizes = {1, 7, 33, 130, 4096};
+  for (const double max_norm : {0.5, 1e30}) {  // Clip on, clip off.
+    for (const int k : {1, 2, 3, 4, 5}) {
+      Rng rng(99);
+      std::vector<Tensor> oracle_params;
+      std::vector<Tensor> sliced_params;
+      for (const int64_t size : sizes) {
+        Tensor p = Tensor::Randn(Shape{size}, rng);
+        p.set_requires_grad(true);
+        Tensor q = Tensor::FromData(
+            p.shape(), std::vector<float>(p.data(), p.data() + size));
+        q.set_requires_grad(true);
+        oracle_params.push_back(p);
+        sliced_params.push_back(q);
+      }
+      Adam oracle(oracle_params, {});
+      Adam sliced(sliced_params, {});
+      // Three gradient shards: 1/3 is inexact, so a regrouped product
+      // would show.
+      const float scale = 1.0f / 3.0f;
+      for (int step = 1; step <= 20; ++step) {
+        const float lr = 1e-3f * static_cast<float>(1 + step % 7);
+        oracle.set_learning_rate(lr);
+        sliced.set_learning_rate(lr);
+        std::vector<float> flat;
+        for (const int64_t size : sizes) {
+          for (int64_t e = 0; e < size; ++e) flat.push_back(EdgeGradient(rng));
+        }
+        LoadClipAndStep(oracle, oracle_params, flat, scale, max_norm);
+        SlicedStep(sliced, k, flat, scale, max_norm);
+      }
+      const AdamState want = oracle.ExportState();
+      const AdamState got = sliced.ExportState();
+      EXPECT_EQ(got.step, want.step);
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        const std::vector<float> x(
+            oracle_params[i].data(),
+            oracle_params[i].data() + oracle_params[i].NumElements());
+        EXPECT_TRUE(SameBits(sliced_params[i].data(), x))
+            << "param " << i << " k=" << k << " max_norm=" << max_norm;
+        EXPECT_TRUE(SameBits(got.m[i].data(), want.m[i])) << "m " << i;
+        EXPECT_TRUE(SameBits(got.v[i].data(), want.v[i])) << "v " << i;
+      }
+    }
+  }
+}
+
+TEST(AdamTest, UncommittedSlicesLeaveTheStepCount) {
+  Tensor p = Tensor::FromData(Shape{4}, {1.0f, 2.0f, 3.0f, 4.0f});
+  p.set_requires_grad(true);
+  Adam adam({p}, {});
+  const std::vector<float> flat = {1.0f, -1.0f, 0.5f, 2.0f};
+  adam.StepRange(1, 0, 2, flat.data(), 1.0f, 1.0f);
+  adam.StepRange(1, 2, 4, flat.data(), 1.0f, 1.0f);
+  EXPECT_EQ(adam.step_count(), 0);
+  EXPECT_NE(p.data()[0], 1.0f);
+  adam.set_step_count(1);
+  EXPECT_EQ(adam.ExportState().step, 1);
+}
+
+TEST(AdamTest, SliceBeyondTheParametersFailsItsCheck) {
+  Tensor p = Tensor::Zeros(Shape{3});
+  p.set_requires_grad(true);
+  Adam adam({p}, {});
+  const std::vector<float> flat(4, 1.0f);
+  EXPECT_DEATH(adam.StepRange(1, 0, 4, flat.data(), 1.0f, 1.0f), "");
 }
 
 TEST(NoamScheduleTest, WarmupRampsUpThenDecays) {

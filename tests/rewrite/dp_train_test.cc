@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/checksum.h"
 #include "rewrite/checkpoint.h"
 #include "rewrite/trainer.h"
+#include "tensor/ops.h"
 
 namespace cyqr {
 namespace {
@@ -138,7 +140,9 @@ TEST(DpTrainTest, PaperScaledRunMatchesGoldenDigest) {
   // deliberate change to the training arithmetic updates the constant.
   constexpr uint64_t kGoldenDigest = 0x164eaf8ab844ce89ull;
   const TinyWorld world = MakeTinyWorld();
-  for (const int64_t workers : {1, 4}) {
+  // K = 3 owns the four shards unevenly and slices the optimizer update
+  // across tensor boundaries.
+  for (const int64_t workers : {1, 3, 4}) {
     CycleTrainerOptions options = DpOptions(workers);
     options.eval_every = 0;
     Rng rng(7);
@@ -251,6 +255,92 @@ TEST(DpTrainTest, NanGuardrailsWorkUnderDataParallelism) {
   for (float v : FlattenParams(*run.model)) {
     ASSERT_TRUE(std::isfinite(v));
   }
+}
+
+TEST(DpTrainTest, SkippedStepLeavesTheOptimizerStepCount) {
+  const TinyWorld world = MakeTinyWorld();
+  for (const int64_t workers : {1, 3}) {
+    CycleTrainerOptions options = DpOptions(workers);
+    options.max_steps = 6;
+    options.eval_every = 0;
+    options.fault_plan.nan_loss_steps = {2, 5};
+    options.checkpoint_every = 6;
+    options.checkpoint_dir = FreshDir("dp_skip_step_count");
+    TrainRun run = MakeRun(world, options);
+    ASSERT_TRUE(run.trainer->Train(world.pairs).ok());
+    EXPECT_EQ(run.trainer->skipped_batches(), 2);
+    Result<std::string> latest = LatestCheckpointFile(options.checkpoint_dir);
+    ASSERT_TRUE(latest.ok());
+    TrainerCheckpoint ckpt;
+    ASSERT_TRUE(LoadTrainerCheckpoint(run.model->Parameters(), &ckpt,
+                                      latest.value())
+                    .ok());
+    EXPECT_EQ(ckpt.step, 6);
+    EXPECT_EQ(ckpt.optimizer.step, 4) << "K=" << workers;
+  }
+}
+
+/// Every tensor reachable from `loss` through the tape, `loss` included.
+std::vector<TensorImpl*> ReachableTensors(const Tensor& loss) {
+  std::vector<TensorImpl*> out = {loss.impl().get()};
+  std::set<TensorImpl*> seen = {loss.impl().get()};
+  for (size_t i = 0; i < out.size(); ++i) {
+    const GradNode* node = out[i]->node.get();
+    if (node == nullptr) continue;
+    for (size_t j = 0; j < node->num_inputs(); ++j) {
+      TensorImpl* in = node->input(j).get();
+      if (seen.insert(in).second) out.push_back(in);
+    }
+  }
+  return out;
+}
+
+TEST(TapedGradientTest, NoGradientReachableFromAPaperScaledLossIsNegZero) {
+  // The fused Affine op reads dY where MatMul read 0 + dY; the two are the
+  // same bits only because no stored gradient is -0.
+  const TinyWorld world = MakeTinyWorld();
+  Rng rng(7);
+  CycleModel model(PaperScaledConfig(world.vocab.size()), rng);
+  model.SetTraining(true);
+  const CycleConfig& config = model.config();
+  std::vector<std::vector<int32_t>> queries;
+  std::vector<std::vector<int32_t>> titles;
+  for (const SeqPair& p : world.pairs) {
+    queries.push_back(p.src);
+    titles.push_back(p.tgt);
+  }
+  const EncodedBatch q_batch = PadBatch(queries, config.max_query_len);
+  const TeacherForcedBatch t_tf =
+      MakeTeacherForced(titles, config.max_title_len);
+  const EncodedBatch t_batch = PadBatch(titles, config.max_title_len);
+  const TeacherForcedBatch q_tf =
+      MakeTeacherForced(queries, config.max_query_len);
+  const Tensor lf = MaskedCrossEntropy(
+      model.forward().Forward(q_batch, t_tf.inputs), t_tf.targets,
+      t_tf.target_mask);
+  const Tensor lb = MaskedCrossEntropy(
+      model.backward().Forward(t_batch, q_tf.inputs), q_tf.targets,
+      q_tf.target_mask);
+  // A cycle term over the same pairs: every op of Eq. 5's loss.
+  const Tensor lpf =
+      SequenceLogProb(model.forward().Forward(q_batch, t_tf.inputs),
+                      t_tf.targets, t_tf.target_mask);
+  const Tensor lpb =
+      SequenceLogProb(model.backward().Forward(t_batch, q_tf.inputs),
+                      q_tf.targets, q_tf.target_mask);
+  const Tensor lc = MeanAll(GroupLogSumExp(
+      Add(lpf, lpb), static_cast<int64_t>(world.pairs.size())));
+  Tensor loss = Sub(Add(lf, lb), Scale(lc, config.lambda));
+  loss.Backward();
+
+  int64_t checked = 0;
+  for (const TensorImpl* t : ReachableTensors(loss)) {
+    for (const float g : t->grad) {
+      ASSERT_FALSE(g == 0.0f && std::signbit(g)) << "a -0 gradient";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100000);
 }
 
 TEST(DpTrainTest, MisconfiguredShardingIsRejected) {

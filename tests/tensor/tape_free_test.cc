@@ -74,8 +74,8 @@ TEST(TapeFreeTest, RecordingOpKeepsItsClosureAndRunsIt) {
   ASSERT_NE(out.impl()->node, nullptr);
   EXPECT_TRUE(out.requires_grad());
   EXPECT_STREQ(out.impl()->node->name, "Counted");
-  ASSERT_EQ(out.impl()->node->inputs.size(), 1u);
-  EXPECT_EQ(out.impl()->node->inputs[0], x.impl());
+  ASSERT_EQ(out.impl()->node->num_inputs(), 1u);
+  EXPECT_EQ(out.impl()->node->input(0), x.impl());
   EXPECT_EQ(counts.copies, 0);  // An rvalue closure is moved, not copied.
   SumAll(out).Backward();
   EXPECT_EQ(counts.calls, 1);
@@ -85,9 +85,9 @@ TEST(TapeFreeTest, SpanInputsRecordEveryInput) {
   const std::vector<Tensor> steps = {Leaf(true), Leaf(false), Leaf(true)};
   Tensor out = StackRows(steps);
   ASSERT_NE(out.impl()->node, nullptr);
-  ASSERT_EQ(out.impl()->node->inputs.size(), 3u);
+  ASSERT_EQ(out.impl()->node->num_inputs(), 3u);
   for (size_t i = 0; i < steps.size(); ++i) {
-    EXPECT_EQ(out.impl()->node->inputs[i], steps[i].impl());
+    EXPECT_EQ(out.impl()->node->input(i), steps[i].impl());
   }
 }
 
