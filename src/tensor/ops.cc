@@ -199,6 +199,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
     m *= batch;
     batch = 1;
   }
+  // The vector starts at +0, so the GEMM accumulates into it rather than
+  // zero it a second time.
   std::vector<float> out(batch * m * n);
   const float* pa = a.data();
   const float* pb = b.data();
@@ -206,7 +208,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   const int64_t b_stride = b_shared ? 0 : db.rows * db.cols;
   for (int64_t bi = 0; bi < batch; ++bi) {
     GemmRaw(trans_a, trans_b, m, n, k, pa + bi * a_stride, pb + bi * b_stride,
-            out.data() + bi * m * n, /*accumulate=*/false);
+            out.data() + bi * m * n, /*accumulate=*/true);
   }
 
   auto ia = Impl(a);
@@ -258,9 +260,9 @@ Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b) {
   const int64_t k = dx.cols;
   const int64_t n = w.shape().dim(1);
   CYQR_CHECK(b.shape().rank() == 1 && b.shape().dim(0) == n);
-  std::vector<float> out(m * n);
+  std::vector<float> out(m * n);  // +0, as in MatMul.
   GemmRaw(false, false, m, n, k, x.data(), w.data(), out.data(),
-          /*accumulate=*/false);
+          /*accumulate=*/true);
   const float* pb = b.data();
   for (int64_t r = 0; r < m; ++r) {
     float* row = out.data() + r * n;
@@ -439,13 +441,11 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   CYQR_CHECK_EQ(beta.NumElements(), d);
   const int64_t rows = x.NumElements() / d;
   std::vector<float> out(x.NumElements());
-  // Only backward reads the normalized rows and inverse deviations.
-  std::shared_ptr<std::vector<float>> xhat;
-  std::shared_ptr<std::vector<float>> inv_std;
-  if (OpRecords({x, gamma, beta})) {
-    xhat = std::make_shared<std::vector<float>>(x.NumElements());
-    inv_std = std::make_shared<std::vector<float>>(rows);
-  }
+  // Only backward reads each row's mean (as a float) and inverse deviation,
+  // [mu, istd] per row: it rebuilds the normalized rows from the input
+  // with the forward's expression, so with the same two roundings.
+  std::vector<float> stats;
+  if (OpRecords({x, gamma, beta})) stats.resize(2 * rows);
   const float* px = x.data();
   const float* pg = gamma.data();
   const float* pb = beta.data();
@@ -460,11 +460,14 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
       var += c * c;
     }
     var /= d;
+    const float mu_f = static_cast<float>(mu);
     const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-    if (inv_std) (*inv_std)[r] = istd;
+    if (!stats.empty()) {
+      stats[2 * r] = mu_f;
+      stats[2 * r + 1] = istd;
+    }
     for (int64_t j = 0; j < d; ++j) {
-      const float xh = (row[j] - static_cast<float>(mu)) * istd;
-      if (xhat) (*xhat)[r * d + j] = xh;
+      const float xh = (row[j] - mu_f) * istd;
       out[r * d + j] = pg[j] * xh + pb[j];
     }
   }
@@ -473,16 +476,21 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto ib = Impl(beta);
   return MakeOpResult(
       x.shape(), std::move(out), {x, gamma, beta},
-      [ix, ig, ib, xhat, inv_std, rows, d](TensorImpl& o) {
+      [ix, ig, ib, stats = std::move(stats), rows, d](TensorImpl& o) {
         if (ig->requires_grad || ig->node) ig->EnsureGrad();
         if (ib->requires_grad || ib->node) ib->EnsureGrad();
         const bool need_x = ix->requires_grad || ix->node != nullptr;
         if (need_x) ix->EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
           const float* dy = o.grad.data() + r * d;
-          const float* xh = xhat->data() + r * d;
+          const float* row = ix->data.data() + r * d;
+          const float mu = stats[2 * r];
+          const float istd = stats[2 * r + 1];
           if (!ig->grad.empty()) {
-            for (int64_t j = 0; j < d; ++j) ig->grad[j] += dy[j] * xh[j];
+            for (int64_t j = 0; j < d; ++j) {
+              const float xh = (row[j] - mu) * istd;
+              ig->grad[j] += dy[j] * xh;
+            }
           }
           if (!ib->grad.empty()) {
             for (int64_t j = 0; j < d; ++j) ib->grad[j] += dy[j];
@@ -495,15 +503,15 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
             for (int64_t j = 0; j < d; ++j) {
               const float dxh = dy[j] * ig->data[j];
               mean_dxh += dxh;
-              mean_dxh_xh += dxh * xh[j];
+              mean_dxh_xh += dxh * ((row[j] - mu) * istd);
             }
             mean_dxh /= d;
             mean_dxh_xh /= d;
-            const float istd = (*inv_std)[r];
             float* dx = ix->grad.data() + r * d;
             for (int64_t j = 0; j < d; ++j) {
               const float dxh = dy[j] * ig->data[j];
-              dx[j] += istd * (dxh - mean_dxh - xh[j] * mean_dxh_xh);
+              const float xh = (row[j] - mu) * istd;
+              dx[j] += istd * (dxh - mean_dxh - xh * mean_dxh_xh);
             }
           }
         }
@@ -516,21 +524,24 @@ Tensor DropoutOp(const Tensor& x, float p, Rng& rng, bool training) {
   CYQR_CHECK_LT(p, 1.0f);
   const int64_t n = x.NumElements();
   const float scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<std::vector<float>>(n);
+  // Only backward reads which elements were kept, one byte each; it
+  // multiplies by the factor the forward did, scale or 0.
+  std::vector<uint8_t> keep;
+  if (OpRecords({x})) keep.resize(n);
   std::vector<float> out(n);
   const float* px = x.data();
   for (int64_t i = 0; i < n; ++i) {
     const float m = rng.NextFloat() < p ? 0.0f : scale;
-    (*mask)[i] = m;
+    if (!keep.empty()) keep[i] = m != 0.0f;
     out[i] = px[i] * m;
   }
   auto ix = Impl(x);
   return MakeOpResult(
       x.shape(), std::move(out), {x},
-      [ix, mask, n](TensorImpl& o) {
+      [ix, keep = std::move(keep), scale, n](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          ix->grad[i] += o.grad[i] * (*mask)[i];
+          ix->grad[i] += o.grad[i] * (keep[i] != 0 ? scale : 0.0f);
         }
       },
       "Dropout");

@@ -89,41 +89,57 @@ float Tensor::item() const {
 }
 
 void Tensor::Backward() {
+  constexpr const char* kConsumed =
+      "Backward() reached a tensor whose tape an earlier Backward() "
+      "consumed; build a fresh graph for every walk";
   CYQR_CHECK(impl_ != nullptr);
   CYQR_CHECK_MSG(impl_->data.size() == 1u,
                  "Backward() requires a scalar tensor");
+  CYQR_CHECK_MSG(!impl_->consumed, kConsumed);
   // Topological sort of the tape reachable from this output. A tensor is
-  // visited once it carries this walk's stamp.
+  // visited once it carries this walk's stamp. The stack holds each
+  // tensor's handle where its consumer keeps it, so `order` can take a
+  // strong reference to every op output the walk will fire; leaves need
+  // none, as the walk never touches them after the sort.
   // ordering: relaxed — the counter only hands each walk a stamp no other
   // walk holds; the stamps it writes are read by this thread alone.
   const uint64_t stamp =
       g_last_walk_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::vector<TensorImpl*> order;
-  std::vector<std::pair<TensorImpl*, size_t>> stack;
-  stack.emplace_back(impl_.get(), 0);
+  std::vector<std::shared_ptr<TensorImpl>> order;
+  std::vector<std::pair<const std::shared_ptr<TensorImpl>*, size_t>> stack;
+  stack.emplace_back(&impl_, 0);
   impl_->walk_stamp = stamp;
   while (!stack.empty()) {
-    auto& [node, next_child] = stack.back();
-    if (node->node == nullptr || next_child >= node->node->num_inputs()) {
-      order.push_back(node);
+    auto& [handle, next_child] = stack.back();
+    const GradNode* node = (*handle)->node.get();
+    if (node == nullptr || next_child >= node->num_inputs()) {
+      if (node != nullptr) order.push_back(*handle);
       stack.pop_back();
       continue;
     }
-    TensorImpl* child = node->node->input(next_child++).get();
+    const std::shared_ptr<TensorImpl>& child = node->input(next_child++);
     if (child->walk_stamp != stamp) {
+      CYQR_CHECK_MSG(!child->consumed, kConsumed);
       child->walk_stamp = stamp;
-      stack.emplace_back(child, 0);
+      stack.emplace_back(&child, 0);
     }
   }
   // `order` is post-order (children before parents); iterate in reverse so
-  // each node's grad is complete before its backward fires.
+  // each node's grad is complete before its backward fires. Once a tensor
+  // has had its turn, every consumer of it in the tape has fired, so the
+  // walk releases its node (the closure, its saved buffers and its
+  // references to the inputs) and its gradient, then drops its own
+  // reference. One node goes at a time, so no release cascades down the
+  // tape; the inputs live on in `order` until their own turns.
   impl_->EnsureGrad();
   impl_->grad[0] += 1.0f;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    TensorImpl* t = *it;
-    if (t->node != nullptr && !t->grad.empty()) {
-      t->node->Backward(*t);
-    }
+    TensorImpl& t = **it;
+    if (!t.grad.empty()) t.node->Backward(t);
+    t.node.reset();
+    std::vector<float>().swap(t.grad);
+    t.consumed = true;
+    it->reset();
   }
 }
 

@@ -26,6 +26,11 @@ struct TensorImpl {
   // walk takes a fresh stamp, so no walk has to clear it; no tensor is
   // reached by two walks at once (every training rank owns its replica).
   uint64_t walk_stamp = 0;
+  // Set once a Backward() walk has released this op output's node and
+  // gradient. The values stay, but the tensor no longer leads back to its
+  // inputs, so a later walk that reaches it fails a check instead of
+  // dropping the gradient it would have carried.
+  bool consumed = false;
 
   void EnsureGrad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
@@ -74,7 +79,14 @@ class Tensor {
   float item() const;
 
   /// Runs reverse-mode autodiff from this tensor, which must be a scalar.
-  /// Accumulates into .grad of all reachable requires_grad tensors.
+  /// Accumulates into .grad of all reachable requires_grad leaves.
+  ///
+  /// The walk consumes the tape: once an op output's turn has come, its
+  /// node (closure, saved buffers, references to the inputs) and its
+  /// gradient are freed, and the tensor itself is freed unless a handle
+  /// outside the tape holds it. Leaves keep their gradients, and this
+  /// tensor keeps its value. A tape can be walked once: a later walk that
+  /// reaches a consumed tensor fails a check.
   void Backward();
 
   const std::shared_ptr<TensorImpl>& impl() const { return impl_; }
@@ -89,7 +101,8 @@ class Tensor {
 /// (allocating it on demand). MakeOpResult (tensor/autograd.h) derives one
 /// node type per op closure, so a node and its closure are one allocation.
 /// Up to kInlineInputs inputs live in the node itself; an op with more
-/// (StackRows) keeps them all in a vector.
+/// (StackRows) keeps them all in a vector. Tensor::Backward() releases each
+/// node once its turn in the walk has come.
 class GradNode {
  public:
   static constexpr size_t kInlineInputs = 3;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -281,27 +282,59 @@ TEST(DpTrainTest, SkippedStepLeavesTheOptimizerStepCount) {
 }
 
 /// Every tensor reachable from `loss` through the tape, `loss` included.
-std::vector<TensorImpl*> ReachableTensors(const Tensor& loss) {
-  std::vector<TensorImpl*> out = {loss.impl().get()};
+std::vector<std::shared_ptr<TensorImpl>> ReachableTensors(const Tensor& loss) {
+  std::vector<std::shared_ptr<TensorImpl>> out = {loss.impl()};
   std::set<TensorImpl*> seen = {loss.impl().get()};
   for (size_t i = 0; i < out.size(); ++i) {
     const GradNode* node = out[i]->node.get();
     if (node == nullptr) continue;
     for (size_t j = 0; j < node->num_inputs(); ++j) {
-      TensorImpl* in = node->input(j).get();
-      if (seen.insert(in).second) out.push_back(in);
+      if (seen.insert(node->input(j).get()).second) {
+        out.push_back(node->input(j));
+      }
     }
   }
   return out;
 }
 
-TEST(TapedGradientTest, NoGradientReachableFromAPaperScaledLossIsNegZero) {
-  // The fused Affine op reads dY where MatMul read 0 + dY; the two are the
-  // same bits only because no stored gradient is -0.
-  const TinyWorld world = MakeTinyWorld();
-  Rng rng(7);
-  CycleModel model(PaperScaledConfig(world.vocab.size()), rng);
-  model.SetTraining(true);
+/// Tensor::Backward() as it was before it consumed the tape: the same DFS
+/// and firing order, but every node, gradient and tensor stays, so a test
+/// can read the gradient of every intermediate afterwards.
+void NonConsumingBackward(const Tensor& loss) {
+  std::vector<TensorImpl*> order;
+  std::set<TensorImpl*> seen = {loss.impl().get()};
+  std::vector<std::pair<TensorImpl*, size_t>> stack = {{loss.impl().get(), 0}};
+  while (!stack.empty()) {
+    auto& [t, next_child] = stack.back();
+    if (t->node == nullptr || next_child >= t->node->num_inputs()) {
+      order.push_back(t);
+      stack.pop_back();
+      continue;
+    }
+    TensorImpl* child = t->node->input(next_child++).get();
+    if (seen.insert(child).second) stack.emplace_back(child, 0);
+  }
+  loss.impl()->EnsureGrad();
+  loss.impl()->grad[0] += 1.0f;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if ((*it)->node != nullptr && !(*it)->grad.empty()) {
+      (*it)->node->Backward(**it);
+    }
+  }
+}
+
+/// The paper-scaled L_f + L_b - lambda * L_c over the tiny world's pairs,
+/// every op of Eq. 5's loss, with each named term held by a handle.
+struct CycleLoss {
+  Tensor lf;
+  Tensor lb;
+  Tensor lpf;
+  Tensor lpb;
+  Tensor lc;
+  Tensor loss;
+};
+
+CycleLoss BuildCycleLoss(CycleModel& model, const TinyWorld& world) {
   const CycleConfig& config = model.config();
   std::vector<std::vector<int32_t>> queries;
   std::vector<std::vector<int32_t>> titles;
@@ -315,32 +348,105 @@ TEST(TapedGradientTest, NoGradientReachableFromAPaperScaledLossIsNegZero) {
   const EncodedBatch t_batch = PadBatch(titles, config.max_title_len);
   const TeacherForcedBatch q_tf =
       MakeTeacherForced(queries, config.max_query_len);
-  const Tensor lf = MaskedCrossEntropy(
-      model.forward().Forward(q_batch, t_tf.inputs), t_tf.targets,
-      t_tf.target_mask);
-  const Tensor lb = MaskedCrossEntropy(
-      model.backward().Forward(t_batch, q_tf.inputs), q_tf.targets,
-      q_tf.target_mask);
-  // A cycle term over the same pairs: every op of Eq. 5's loss.
-  const Tensor lpf =
-      SequenceLogProb(model.forward().Forward(q_batch, t_tf.inputs),
-                      t_tf.targets, t_tf.target_mask);
-  const Tensor lpb =
-      SequenceLogProb(model.backward().Forward(t_batch, q_tf.inputs),
-                      q_tf.targets, q_tf.target_mask);
-  const Tensor lc = MeanAll(GroupLogSumExp(
-      Add(lpf, lpb), static_cast<int64_t>(world.pairs.size())));
-  Tensor loss = Sub(Add(lf, lb), Scale(lc, config.lambda));
-  loss.Backward();
+  CycleLoss out;
+  out.lf = MaskedCrossEntropy(model.forward().Forward(q_batch, t_tf.inputs),
+                              t_tf.targets, t_tf.target_mask);
+  out.lb = MaskedCrossEntropy(model.backward().Forward(t_batch, q_tf.inputs),
+                              q_tf.targets, q_tf.target_mask);
+  // A cycle term over the same pairs.
+  out.lpf = SequenceLogProb(model.forward().Forward(q_batch, t_tf.inputs),
+                            t_tf.targets, t_tf.target_mask);
+  out.lpb = SequenceLogProb(model.backward().Forward(t_batch, q_tf.inputs),
+                            q_tf.targets, q_tf.target_mask);
+  out.lc = MeanAll(GroupLogSumExp(Add(out.lpf, out.lpb),
+                                  static_cast<int64_t>(world.pairs.size())));
+  out.loss = Sub(Add(out.lf, out.lb), Scale(out.lc, config.lambda));
+  return out;
+}
+
+TEST(TapedGradientTest, NoGradientReachableFromAPaperScaledLossIsNegZero) {
+  // The fused Affine op reads dY where MatMul read 0 + dY; the two are the
+  // same bits only because no stored gradient is -0. Backward frees every
+  // intermediate gradient as it goes, so the test fires the tape through
+  // a walk that keeps them.
+  const TinyWorld world = MakeTinyWorld();
+  Rng rng(7);
+  CycleModel model(PaperScaledConfig(world.vocab.size()), rng);
+  model.SetTraining(true);
+  const CycleLoss terms = BuildCycleLoss(model, world);
+  NonConsumingBackward(terms.loss);
 
   int64_t checked = 0;
-  for (const TensorImpl* t : ReachableTensors(loss)) {
+  for (const std::shared_ptr<TensorImpl>& t : ReachableTensors(terms.loss)) {
     for (const float g : t->grad) {
       ASSERT_FALSE(g == 0.0f && std::signbit(g)) << "a -0 gradient";
       ++checked;
     }
   }
   EXPECT_GT(checked, 100000);
+}
+
+TEST(TapeConsumedTest, BackwardFreesTheTapeAndKeepsLeafGradientsBitForBit) {
+  const TinyWorld world = MakeTinyWorld();
+  Rng rng(7);
+  CycleModel model(PaperScaledConfig(world.vocab.size()), rng);
+  model.SetTraining(true);
+  const std::vector<Tensor> params = model.Parameters();
+  const RngState dropout_state = model.rng().state();
+
+  // The same loss, dropout draws included, fired by the walk that keeps
+  // the tape: the leaf gradients Backward must reproduce.
+  std::vector<std::vector<float>> expected;
+  {
+    const CycleLoss reference = BuildCycleLoss(model, world);
+    NonConsumingBackward(reference.loss);
+    for (const Tensor& p : params) {
+      expected.push_back(p.has_grad()
+                             ? std::vector<float>(p.grad(),
+                                                  p.grad() + p.NumElements())
+                             : std::vector<float>());
+      Tensor alias = p;
+      alias.ZeroGrad();
+    }
+  }
+
+  model.rng().set_state(dropout_state);
+  CycleLoss terms = BuildCycleLoss(model, world);
+  const float loss_value = terms.loss.item();
+  const std::vector<Tensor> held = {terms.lf,  terms.lb, terms.lpf,
+                                    terms.lpb, terms.lc, terms.loss};
+  std::set<const TensorImpl*> held_impls;
+  for (const Tensor& t : held) held_impls.insert(t.impl().get());
+  std::vector<std::weak_ptr<TensorImpl>> tape_only;
+  for (const std::shared_ptr<TensorImpl>& t : ReachableTensors(terms.loss)) {
+    if (t->node != nullptr && held_impls.count(t.get()) == 0) {
+      tape_only.push_back(t);
+    }
+  }
+  ASSERT_GT(tape_only.size(), 500u);
+
+  terms.loss.Backward();
+
+  // Intermediates a handle still holds keep their values only.
+  for (const Tensor& t : held) {
+    EXPECT_TRUE(t.impl()->consumed);
+    EXPECT_EQ(t.impl()->node, nullptr);
+    EXPECT_FALSE(t.has_grad());
+  }
+  EXPECT_EQ(terms.loss.item(), loss_value);
+  // Intermediates only the tape held are gone.
+  int64_t alive = 0;
+  for (const std::weak_ptr<TensorImpl>& t : tape_only) alive += !t.expired();
+  EXPECT_EQ(alive, 0) << "of " << tape_only.size();
+  // Leaves keep their gradients, the reference walk's bits.
+  for (size_t i = 0; i < params.size(); ++i) {
+    ASSERT_EQ(params[i].has_grad(), !expected[i].empty()) << "parameter " << i;
+    if (expected[i].empty()) continue;
+    EXPECT_EQ(std::memcmp(params[i].grad(), expected[i].data(),
+                          expected[i].size() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
 }
 
 TEST(DpTrainTest, MisconfiguredShardingIsRejected) {

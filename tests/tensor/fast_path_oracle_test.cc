@@ -1,13 +1,16 @@
 // Slow oracles for the taped fast paths: the fused Affine op against the
 // MatMul-then-Add pair it replaces, the stamped backward walk against a
-// DFS over an unordered_set of visited tensors, and ReLU's select against
-// the branch. Every comparison is bit for bit.
+// DFS over an unordered_set of visited tensors, ReLU's select against the
+// branch, and LayerNorm's row statistics and dropout's byte mask against
+// the normalized rows and float mask they replace. Every comparison is bit
+// for bit.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <unordered_set>
@@ -230,9 +233,13 @@ TEST(BackwardWalkTest, FiresInTheOrderOfAVisitedSetDfs) {
   }
 }
 
-TEST(BackwardWalkTest, TensorReachedByTwoWalksFiresInBoth) {
-  // A later walk takes a new stamp, so a tensor a previous walk stamped is
-  // visited again.
+TEST(BackwardWalkDeathTest, SecondWalkThroughAConsumedTensorFailsItsCheck) {
+  // The first walk fires `shared` and releases its node, so `shared` no
+  // longer leads to `leaf`. A second walk that reached it and read it as a
+  // leaf would drop the gradient `leaf` is owed; it must fail instead.
+  // Gradients still accumulate across graphs that share only leaves
+  // (TensorTest.GradAccumulatesAcrossBackwards).
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<int> log;
   Tensor leaf = Tensor::Full(Shape{1}, 1.0f);
   leaf.set_requires_grad(true);
@@ -240,8 +247,11 @@ TEST(BackwardWalkTest, TensorReachedByTwoWalksFiresInBoth) {
   Tensor first = LoggedOp({shared, shared}, 2, &log);
   Tensor second = LoggedOp({shared}, 3, &log);
   first.Backward();
-  second.Backward();
-  EXPECT_EQ(log, (std::vector<int>{2, 1, 3, 1}));
+  EXPECT_EQ(log, (std::vector<int>{2, 1}));
+  EXPECT_TRUE(shared.impl()->consumed);
+  EXPECT_EQ(shared.impl()->node, nullptr);
+  EXPECT_DEATH(second.Backward(), "an earlier Backward\\(\\) consumed");
+  EXPECT_DEATH(first.Backward(), "an earlier Backward\\(\\) consumed");
 }
 
 // --- ReLU backward -----------------------------------------------------------
@@ -271,14 +281,203 @@ TEST(ReluBackwardTest, SelectMatchesTheBranchOnEveryEdgeValue) {
   const Tensor y = Relu(x);
   const Tensor w = Tensor::FromData(Shape{n}, w_values);
   SumAll(Mul(y, w)).Backward();
+  EXPECT_TRUE(y.impl()->consumed);
 
-  ASSERT_TRUE(y.has_grad());
-  const float* dy = y.grad();
   for (int64_t i = 0; i < n; ++i) {
+    // dy is what Mul sends into y's fresh (+0) gradient, SumAll's 1 times
+    // w; the walk frees that buffer once Relu has fired.
+    const float dy = 0.0f + 1.0f * w_values[i];
     float expected = dx_values[i];
-    if (x_values[i] > 0.0f) expected += dy[i];
+    if (x_values[i] > 0.0f) expected += dy;
     EXPECT_TRUE(SameBits(&x.grad()[i], &expected, 1))
-        << "x=" << x_values[i] << " dx=" << dx_values[i] << " dy=" << dy[i];
+        << "x=" << x_values[i] << " dx=" << dx_values[i] << " dy=" << dy;
+  }
+}
+
+// --- LayerNorm and dropout state ---------------------------------------------
+
+/// LayerNormOp as it was when its backward read the normalized rows and
+/// inverse deviations it saved, rather than rebuilding them.
+Tensor SavedRowsLayerNorm(const Tensor& x, const Tensor& gamma,
+                          const Tensor& beta, float eps) {
+  const int64_t d = x.shape().back();
+  const int64_t rows = x.NumElements() / d;
+  std::vector<float> out(x.NumElements());
+  auto xhat = std::make_shared<std::vector<float>>(x.NumElements());
+  auto inv_std = std::make_shared<std::vector<float>>(rows);
+  const float* px = x.data();
+  const float* pg = gamma.data();
+  const float* pb = beta.data();
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = px + r * d;
+    double mu = 0.0;
+    for (int64_t j = 0; j < d; ++j) mu += row[j];
+    mu /= d;
+    double var = 0.0;
+    for (int64_t j = 0; j < d; ++j) {
+      const double c = row[j] - mu;
+      var += c * c;
+    }
+    var /= d;
+    const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
+    (*inv_std)[r] = istd;
+    for (int64_t j = 0; j < d; ++j) {
+      const float xh = (row[j] - static_cast<float>(mu)) * istd;
+      (*xhat)[r * d + j] = xh;
+      out[r * d + j] = pg[j] * xh + pb[j];
+    }
+  }
+  auto ix = x.impl();
+  auto ig = gamma.impl();
+  auto ib = beta.impl();
+  return MakeOpResult(
+      x.shape(), std::move(out), {x, gamma, beta},
+      [ix, ig, ib, xhat, inv_std, rows, d](TensorImpl& o) {
+        if (ig->requires_grad || ig->node) ig->EnsureGrad();
+        if (ib->requires_grad || ib->node) ib->EnsureGrad();
+        const bool need_x = ix->requires_grad || ix->node != nullptr;
+        if (need_x) ix->EnsureGrad();
+        for (int64_t r = 0; r < rows; ++r) {
+          const float* dy = o.grad.data() + r * d;
+          const float* xh = xhat->data() + r * d;
+          if (!ig->grad.empty()) {
+            for (int64_t j = 0; j < d; ++j) ig->grad[j] += dy[j] * xh[j];
+          }
+          if (!ib->grad.empty()) {
+            for (int64_t j = 0; j < d; ++j) ib->grad[j] += dy[j];
+          }
+          if (need_x) {
+            float mean_dxh = 0.0f;
+            float mean_dxh_xh = 0.0f;
+            for (int64_t j = 0; j < d; ++j) {
+              const float dxh = dy[j] * ig->data[j];
+              mean_dxh += dxh;
+              mean_dxh_xh += dxh * xh[j];
+            }
+            mean_dxh /= d;
+            mean_dxh_xh /= d;
+            const float istd = (*inv_std)[r];
+            float* dx = ix->grad.data() + r * d;
+            for (int64_t j = 0; j < d; ++j) {
+              const float dxh = dy[j] * ig->data[j];
+              dx[j] += istd * (dxh - mean_dxh - xh[j] * mean_dxh_xh);
+            }
+          }
+        }
+      },
+      "LayerNorm");
+}
+
+/// Rows of width d: Gaussian rows, rows of signed zeros (variance 0), and
+/// rows far from the origin, whose mean rounds as a float.
+std::vector<float> LayerNormRows(int64_t d, Rng& rng) {
+  std::vector<float> values;
+  for (int64_t j = 0; j < d; ++j) {
+    values.push_back(static_cast<float>(rng.NextGaussian()));
+  }
+  for (int64_t j = 0; j < d; ++j) values.push_back(j % 2 == 0 ? 0.0f : -0.0f);
+  for (int64_t j = 0; j < d; ++j) values.push_back(-0.0f);
+  for (const float offset : {1.0e4f, -3.0e6f, 7.5e8f}) {
+    for (int64_t j = 0; j < d; ++j) {
+      values.push_back(offset + static_cast<float>(rng.NextGaussian()));
+    }
+  }
+  return values;
+}
+
+TEST(LayerNormOracleTest, RowStatsMatchSavedNormalizedRowsBitForBit) {
+  for (const int64_t d : {1, 7, 32, 33}) {
+    for (const bool x_needs_grad : {true, false}) {
+      Rng rng(static_cast<uint64_t>(20 + d));
+      std::vector<float> values = LayerNormRows(d, rng);
+      const int64_t rows = static_cast<int64_t>(values.size()) / d;
+      Tensor x = Tensor::FromData(Shape{rows, d}, std::move(values));
+      x.set_requires_grad(x_needs_grad);
+      const Tensor gamma = Param(Shape{d}, rng);
+      const Tensor beta = Param(Shape{d}, rng);
+      const Tensor x2 = CopyOf(x);
+      const Tensor gamma2 = CopyOf(gamma);
+      const Tensor beta2 = CopyOf(beta);
+
+      const Tensor y = LayerNormOp(x, gamma, beta, 1e-5f);
+      const Tensor y2 = SavedRowsLayerNorm(x2, gamma2, beta2, 1e-5f);
+      const std::string where = "d=" + std::to_string(d) +
+                                (x_needs_grad ? " x taped" : " x constant");
+      ASSERT_TRUE(SameBits(y.data(), y2.data(), y.NumElements())) << where;
+
+      Rng loss_rng(30);
+      WeightedLoss(y, loss_rng).Backward();
+      Rng saved_loss_rng(30);
+      WeightedLoss(y2, saved_loss_rng).Backward();
+      for (const auto& [mine, theirs] : {std::pair{x, x2},
+                                         std::pair{gamma, gamma2},
+                                         std::pair{beta, beta2}}) {
+        ASSERT_EQ(mine.has_grad(), theirs.has_grad()) << where;
+        if (!mine.has_grad()) continue;
+        EXPECT_TRUE(SameBits(mine.grad(), theirs.grad(), mine.NumElements()))
+            << where << ", gradient of a " << mine.NumElements()
+            << "-element input";
+      }
+    }
+  }
+}
+
+/// DropoutOp as it was when its backward read a float mask of 0 or scale.
+Tensor FloatMaskDropout(const Tensor& x, float p, Rng& rng) {
+  const int64_t n = x.NumElements();
+  const float scale = 1.0f / (1.0f - p);
+  auto mask = std::make_shared<std::vector<float>>(n);
+  std::vector<float> out(n);
+  const float* px = x.data();
+  for (int64_t i = 0; i < n; ++i) {
+    const float m = rng.NextFloat() < p ? 0.0f : scale;
+    (*mask)[i] = m;
+    out[i] = px[i] * m;
+  }
+  auto ix = x.impl();
+  return MakeOpResult(
+      x.shape(), std::move(out), {x},
+      [ix, mask, n](TensorImpl& o) {
+        ix->EnsureGrad();
+        for (int64_t i = 0; i < n; ++i) {
+          ix->grad[i] += o.grad[i] * (*mask)[i];
+        }
+      },
+      "Dropout");
+}
+
+TEST(DropoutOracleTest, ByteMaskMatchesFloatMaskBitForBit) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float p : {0.1f, 0.5f}) {
+    Rng rng(40);
+    std::vector<float> values;
+    for (int i = 0; i < 997; ++i) {
+      values.push_back(static_cast<float>(rng.NextGaussian()));
+    }
+    for (const float edge : {0.0f, -0.0f, nan, inf, -inf, 1e-40f}) {
+      values.push_back(edge);
+    }
+    const int64_t n = static_cast<int64_t>(values.size());
+    Tensor x = Tensor::FromData(Shape{n}, std::move(values));
+    x.set_requires_grad(true);
+    const Tensor x2 = CopyOf(x);
+
+    Rng mask_rng(41);
+    Rng float_mask_rng(41);
+    const Tensor y = DropoutOp(x, p, mask_rng, /*training=*/true);
+    const Tensor y2 = FloatMaskDropout(x2, p, float_mask_rng);
+    // Both drew the same numbers, one per element.
+    EXPECT_EQ(mask_rng.NextFloat(), float_mask_rng.NextFloat()) << "p=" << p;
+    ASSERT_TRUE(SameBits(y.data(), y2.data(), n)) << "p=" << p;
+
+    Rng loss_rng(42);
+    WeightedLoss(y, loss_rng).Backward();
+    Rng float_loss_rng(42);
+    WeightedLoss(y2, float_loss_rng).Backward();
+    ASSERT_TRUE(x.has_grad());
+    ASSERT_TRUE(x2.has_grad());
+    EXPECT_TRUE(SameBits(x.grad(), x2.grad(), n)) << "p=" << p;
   }
 }
 

@@ -1,18 +1,22 @@
 // Exact work counts: tensor ops per decode step, heap allocations per op,
-// and the ops and allocations of one taped training step. Under fixed
-// inputs these are the same on every host, so they pin the cost of a step
-// where a timing could not. This binary replaces the global operator new
-// to count allocations, so it links no other test.
+// and the ops, allocations and peak live heap bytes of one taped training
+// step. Under fixed inputs these are the same on every host, so they pin
+// the cost of a step where a timing could not. This binary replaces the
+// global operator new to count allocations and bytes, so it links no other
+// test.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "decode/topn_sampling.h"
 #include "nmt/attention_seq2seq.h"
 #include "nmt/batch.h"
 #include "nmt/hybrid.h"
@@ -26,19 +30,68 @@
 
 namespace {
 thread_local int64_t g_allocations = 0;
+// Bytes this thread has allocated less the bytes it has freed, and the
+// highest that has been since Measure last reset it.
+thread_local int64_t g_live_bytes = 0;
+thread_local int64_t g_peak_bytes = 0;
+
+// Each block starts with a header that records its size, padded so the
+// caller's bytes keep malloc's alignment.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+void* CountedAlloc(std::size_t size) {
+  ++g_allocations;
+  void* base = std::malloc(kHeader + size);
+  if (base == nullptr) return nullptr;
+  std::memcpy(base, &size, sizeof(size));
+  g_live_bytes += static_cast<int64_t>(size);
+  if (g_live_bytes > g_peak_bytes) g_peak_bytes = g_live_bytes;
+  return static_cast<char*>(base) + kHeader;
+}
+
+// Kept out of line: inlined into a delete-expression, the step back to
+// the header reads as an index before the deleted object (-Warray-bounds).
+[[gnu::noinline]] void CountedFree(void* p) {
+  if (p == nullptr) return;
+  char* base = static_cast<char*>(p) - kHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, base, sizeof(size));
+  g_live_bytes -= static_cast<int64_t>(size);
+  std::free(base);
+}
 }  // namespace
 
 // The replacements pair malloc with free, which GCC cannot see once it
-// inlines them into a new-expression's caller.
+// inlines them into a new-expression's caller. Every unaligned form is
+// replaced, so no block reaches CountedFree without its header, even where
+// a sanitizer runtime supplies the forms left out (std::stable_sort's
+// buffer comes from the nothrow form and goes back through the plain one).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = CountedAlloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void* operator new[](std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 #pragma GCC diagnostic pop
 
 namespace cyqr {
@@ -46,17 +99,22 @@ namespace {
 
 constexpr int64_t kVocab = 40;
 
-/// Ops and allocations this thread makes while `fn` runs.
+/// Ops and allocations this thread makes while `fn` runs, and the most
+/// heap bytes it holds at once above what it held when `fn` began.
 struct Work {
   int64_t ops = 0;
   int64_t allocations = 0;
+  int64_t peak_bytes = 0;
 };
 template <typename Fn>
 Work Measure(Fn fn) {
   const int64_t ops = ThreadOpCount();
   const int64_t allocations = g_allocations;
+  const int64_t live = g_live_bytes;
+  g_peak_bytes = live;
   fn();
-  return {ThreadOpCount() - ops, g_allocations - allocations};
+  return {ThreadOpCount() - ops, g_allocations - allocations,
+          g_peak_bytes - live};
 }
 
 Seq2SeqConfig DirectConfig() {
@@ -203,19 +261,82 @@ Tensor WarmUpShardLoss(CycleModel& model) {
   return Add(lf, lb);
 }
 
+/// The loss of one cyclic training shard, as the trainer builds it:
+/// L_f + L_b, then k top-n sampled titles per query (from `decode_rng`)
+/// and the cycle term over them, L_f + L_b - lambda * L_c.
+Tensor CyclicShardLoss(CycleModel& model, Rng& decode_rng) {
+  const std::vector<std::vector<int32_t>> queries = {{4, 5, 6}, {7, 8}};
+  const CycleConfig& config = model.config();
+  const int64_t k = config.beam_width;
+  DecodeOptions options;
+  options.beam_size = k;
+  options.top_n = config.top_n;
+  options.max_len = config.max_title_len;
+  std::vector<std::vector<int32_t>> synth_queries;
+  std::vector<std::vector<int32_t>> synth_titles;
+  for (const std::vector<int32_t>& q : queries) {
+    std::vector<DecodedSequence> decoded =
+        TopNSamplingDecode(model.forward(), q, options, decode_rng);
+    while (static_cast<int64_t>(decoded.size()) < k && !decoded.empty()) {
+      decoded.push_back(decoded.back());
+    }
+    if (decoded.empty()) {
+      decoded.assign(static_cast<size_t>(k), DecodedSequence{{kUnkId}, 0.0});
+    }
+    for (int64_t i = 0; i < k; ++i) {
+      synth_queries.push_back(q);
+      synth_titles.push_back(decoded[i].ids);
+    }
+  }
+  const EncodedBatch sq_batch = PadBatch(synth_queries, config.max_query_len);
+  const TeacherForcedBatch st_tf =
+      MakeTeacherForced(synth_titles, config.max_title_len);
+  const Tensor lpf =
+      SequenceLogProb(model.forward().Forward(sq_batch, st_tf.inputs),
+                      st_tf.targets, st_tf.target_mask);
+  const EncodedBatch st_batch = PadBatch(synth_titles, config.max_title_len);
+  const TeacherForcedBatch sq_tf =
+      MakeTeacherForced(synth_queries, config.max_query_len);
+  const Tensor lpb =
+      SequenceLogProb(model.backward().Forward(st_batch, sq_tf.inputs),
+                      sq_tf.targets, sq_tf.target_mask);
+  const Tensor lc = MeanAll(GroupLogSumExp(Add(lpf, lpb), k));
+  return Sub(WarmUpShardLoss(model), Scale(lc, config.lambda));
+}
+
+// The warm-up and cyclic steps are measured after one step of their kind,
+// so the parameters' gradient buffers and the per-thread tables exist, as
+// they do in every step after a run's first. The peak is the step's tape
+// and gradients: Backward frees each op's node, saved buffers and gradient
+// as soon as the op has fired.
 TEST(TrainingStepWorkTest, PaperScaledWarmUpShardStep) {
   Rng rng(9);
   CycleModel model(PaperScaledConfig(kVocab), rng);
   model.SetTraining(true);
-  // One step first, so the parameters' gradient buffers and the per-thread
-  // tables exist, as they do in every step after a run's first.
   WarmUpShardLoss(model).Backward();
   const Work work = Measure([&] {
     Tensor loss = WarmUpShardLoss(model);
     loss.Backward();
   });
   EXPECT_EQ(work.ops, 325);
-  EXPECT_EQ(work.allocations, 1550);
+  EXPECT_EQ(work.allocations, 1433);
+  EXPECT_EQ(work.peak_bytes, 438524);
+}
+
+TEST(TrainingStepWorkTest, PaperScaledCyclicShardStep) {
+  Rng rng(9);
+  CycleModel model(PaperScaledConfig(kVocab), rng);
+  model.SetTraining(true);
+  Rng warm_decode_rng(10);
+  CyclicShardLoss(model, warm_decode_rng).Backward();
+  Rng decode_rng(11);
+  const Work work = Measure([&] {
+    Tensor loss = CyclicShardLoss(model, decode_rng);
+    loss.Backward();
+  });
+  EXPECT_EQ(work.ops, 5695);
+  EXPECT_EQ(work.allocations, 20517);
+  EXPECT_EQ(work.peak_bytes, 3722996);
 }
 
 }  // namespace
