@@ -3,10 +3,9 @@
 # diagnostic into a GitHub Actions workflow command
 # (::error file=F,line=N,title=...::message) so violations surface as
 # inline annotations on the PR diff. The raw JSON report is written to a
-# file for artifact upload, a SARIF 2.1.0 report is written alongside it
-# for GitHub code scanning, and per-rule wall-time (--stats) lands in the
-# job step summary when $GITHUB_STEP_SUMMARY is set. The script preserves
-# the linter's exit code (0 clean, 1 violations, 2 usage/IO error).
+# file for artifact upload, and a SARIF 2.1.0 report is written alongside
+# it for GitHub code scanning. The script preserves the linter's exit
+# code (0 clean, 1 violations, 2 usage/IO error).
 #
 # Usage: scripts/lint_annotations.sh /path/to/cyqr_lint [report.json] [report.sarif]
 set -euo pipefail
@@ -14,31 +13,14 @@ set -euo pipefail
 LINT="${1:?usage: lint_annotations.sh /path/to/cyqr_lint [report.json] [report.sarif]}"
 REPORT="${2:-lint_report.json}"
 SARIF="${3:-lint_report.sarif}"
-STATS_LOG=$(mktemp)
-trap 'rm -f "$STATS_LOG"' EXIT
 
 # Mirror the tree gate: production code plus tests, minus the lint
 # fixture corpus (which exists to violate the rules on purpose).
 set +e
-"$LINT" --json --stats --jobs="$(nproc)" --exclude=tests/lint/fixtures \
-  --sarif="$SARIF" \
-  src tools bench examples tests > "$REPORT" 2> "$STATS_LOG"
+"$LINT" --json --exclude=tests/lint/fixtures --sarif="$SARIF" \
+  src tools bench examples tests > "$REPORT"
 code=$?
 set -e
-
-# Stats went to stderr; replay them for the log, then fold the per-rule
-# timing table into the step summary so slow rules are visible per-run.
-cat "$STATS_LOG" >&2
-if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
-  {
-    echo "### cyqr_lint per-rule timings"
-    echo
-    echo "| rule | wall ms |"
-    echo "| --- | ---: |"
-    sed -nE 's/^cyqr_lint rule_ms ([a-z0-9-]+) ([0-9.]+)$/| \1 | \2 |/p' \
-      "$STATS_LOG"
-  } >> "$GITHUB_STEP_SUMMARY"
-fi
 
 if [[ "$code" -ge 2 ]]; then
   echo "::error::cyqr_lint failed to run (exit $code)" >&2

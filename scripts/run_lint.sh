@@ -1,67 +1,20 @@
 #!/usr/bin/env bash
 # Runs the project's static-analysis gates locally, mirroring the CI
-# lint job: cyqr_lint is mandatory; clang-tidy runs when available.
+# lint job: cyqr_lint over the whole tree is mandatory; clang-tidy runs
+# when available.
 #
-# Usage: scripts/run_lint.sh [--changed] [extra cyqr_lint args...]
-#
-#   --changed   Lint only files that differ from the merge base with the
-#               default branch (origin/main, falling back to main, falling
-#               back to HEAD~1) instead of the whole tree. Cross-file facts
-#               (GUARDED_BY maps, lock-order edges) are collected from the
-#               changed set only — fast inner-loop feedback; the full-tree
-#               sweep (CI, or this script without the flag) remains the
-#               authority on cross-TU verdicts such as lock-order cycles.
+# Usage: scripts/run_lint.sh [extra cyqr_lint args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 
-CHANGED_ONLY=0
-EXTRA_ARGS=()
-for arg in "$@"; do
-  if [[ "$arg" == "--changed" ]]; then
-    CHANGED_ONLY=1
-  else
-    EXTRA_ARGS+=("$arg")
-  fi
-done
-
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target cyqr_lint
 
-LINT_TARGETS=(src tools bench examples tests)
-if [[ "$CHANGED_ONLY" == 1 ]]; then
-  # Merge base against the default branch: what this branch would add.
-  BASE=""
-  for ref in origin/main main; do
-    if git rev-parse --verify --quiet "$ref" >/dev/null; then
-      BASE=$(git merge-base HEAD "$ref") && break
-    fi
-  done
-  [[ -n "$BASE" ]] || BASE=$(git rev-parse HEAD~1)
-  # Changed + untracked lintable files, filtered to the gate's roots and
-  # extensions; deleted files drop out via the existence check.
-  mapfile -t LINT_TARGETS < <(
-    { git diff --name-only "$BASE" -- 'src' 'tools' 'bench' 'examples' 'tests';
-      git ls-files --others --exclude-standard -- 'src' 'tools' 'bench' 'examples' 'tests'; } |
-      sort -u |
-      grep -E '\.(h|cc|cpp|hpp)$' |
-      grep -v '^tests/lint/fixtures/' |
-      while read -r f; do [[ -f "$f" ]] && echo "$f"; done
-  )
-  if [[ ${#LINT_TARGETS[@]} -eq 0 ]]; then
-    echo "== cyqr_lint: no lintable files changed since $BASE =="
-    exit 0
-  fi
-  echo "== cyqr_lint (--changed: ${#LINT_TARGETS[@]} files since ${BASE:0:12}) =="
-else
-  echo "== cyqr_lint =="
-fi
-
-"$BUILD_DIR"/tools/cyqr_lint/cyqr_lint --jobs="$(nproc)" \
-  --cache="$BUILD_DIR/cyqr_lint_local.cache" \
-  --exclude=tests/lint/fixtures \
-  "${LINT_TARGETS[@]}" ${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}
+echo "== cyqr_lint =="
+"$BUILD_DIR"/tools/cyqr_lint/cyqr_lint --exclude=tests/lint/fixtures \
+  src tools bench examples tests "$@"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy =="

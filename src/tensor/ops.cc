@@ -708,17 +708,16 @@ Tensor EmbeddingGather(const Tensor& table, const std::vector<int32_t>& ids,
     std::memcpy(out.data() + i * d, pt + ids[i] * d, sizeof(float) * d);
   }
   auto it = Impl(table);
-  std::shared_ptr<std::vector<int32_t>> ids_copy;
-  if (OpRecords({table})) {
-    ids_copy = std::make_shared<std::vector<int32_t>>(ids);
-  }
+  // Only backward reads the ids again.
+  std::vector<int32_t> kept_ids;
+  if (OpRecords({table})) kept_ids = ids;
   return MakeOpResult(
       Shape{batch, seq, d}, std::move(out), {table},
-      [it, ids_copy, d](TensorImpl& o) {
+      [it, kept_ids = std::move(kept_ids), d](TensorImpl& o) {
         it->EnsureGrad();
-        for (size_t i = 0; i < ids_copy->size(); ++i) {
+        for (size_t i = 0; i < kept_ids.size(); ++i) {
           const float* src = o.grad.data() + i * d;
-          float* dst = it->grad.data() + (*ids_copy)[i] * d;
+          float* dst = it->grad.data() + kept_ids[i] * d;
           for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
         }
       },
@@ -783,26 +782,25 @@ Tensor MaskedCrossEntropy(const Tensor& logits,
   const float loss = count > 0 ? static_cast<float>(total_nll / count) : 0.0f;
   auto il = Impl(logits);
   // Only backward reads the probabilities, targets and mask again.
-  std::shared_ptr<std::vector<float>> probs_kept;
-  std::shared_ptr<std::vector<int32_t>> targets_copy;
-  std::shared_ptr<std::vector<float>> mask_copy;
+  std::vector<int32_t> kept_targets;
+  std::vector<float> kept_mask;
   if (OpRecords({logits})) {
-    probs_kept = std::make_shared<std::vector<float>>(std::move(probs));
-    targets_copy = std::make_shared<std::vector<int32_t>>(targets);
-    mask_copy = std::make_shared<std::vector<float>>(mask);
+    kept_targets = targets;
+    kept_mask = mask;
   }
   return MakeOpResult(
       Shape{}, {loss}, {logits},
-      [il, probs = probs_kept, targets_copy, mask_copy, b, t, v, count, eps,
+      [il, probs = std::move(probs), kept_targets = std::move(kept_targets),
+       kept_mask = std::move(kept_mask), b, t, v, count, eps,
        uniform](TensorImpl& o) {
         if (count <= 0) return;
         il->EnsureGrad();
         const float g = o.grad[0] / static_cast<float>(count);
         for (int64_t i = 0; i < b * t; ++i) {
-          if ((*mask_copy)[i] == 0.0f) continue;
-          const float* p = probs->data() + i * v;
+          if (kept_mask[i] == 0.0f) continue;
+          const float* p = probs.data() + i * v;
           float* dst = il->grad.data() + i * v;
-          const int32_t y = (*targets_copy)[i];
+          const int32_t y = kept_targets[i];
           // d/dlogits = softmax - smoothed target distribution.
           for (int64_t j = 0; j < v; ++j) {
             dst[j] += g * (p[j] - uniform);
@@ -841,28 +839,26 @@ Tensor SequenceLogProb(const Tensor& logits,
   }
   auto il = Impl(logits);
   // Only backward reads the probabilities, targets and mask again.
-  std::shared_ptr<std::vector<float>> probs_kept;
-  std::shared_ptr<std::vector<int32_t>> targets_copy;
-  std::shared_ptr<std::vector<float>> mask_copy;
+  std::vector<int32_t> kept_targets;
+  std::vector<float> kept_mask;
   if (OpRecords({logits})) {
-    probs_kept = std::make_shared<std::vector<float>>(std::move(probs));
-    targets_copy = std::make_shared<std::vector<int32_t>>(targets);
-    mask_copy = std::make_shared<std::vector<float>>(mask);
+    kept_targets = targets;
+    kept_mask = mask;
   }
   return MakeOpResult(
       Shape{b}, std::move(out), {logits},
-      [il, probs = probs_kept, targets_copy, mask_copy, b, t,
-       v](TensorImpl& o) {
+      [il, probs = std::move(probs), kept_targets = std::move(kept_targets),
+       kept_mask = std::move(kept_mask), b, t, v](TensorImpl& o) {
         il->EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
           const float g = o.grad[bi];
           if (g == 0.0f) continue;
           for (int64_t ti = 0; ti < t; ++ti) {
             const int64_t i = bi * t + ti;
-            if ((*mask_copy)[i] == 0.0f) continue;
-            const float* p = probs->data() + i * v;
+            if (kept_mask[i] == 0.0f) continue;
+            const float* p = probs.data() + i * v;
             float* dst = il->grad.data() + i * v;
-            const int32_t y = (*targets_copy)[i];
+            const int32_t y = kept_targets[i];
             // d logp[y] / d logits = onehot(y) - softmax.
             for (int64_t j = 0; j < v; ++j) dst[j] -= g * p[j];
             dst[y] += g;

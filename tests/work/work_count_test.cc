@@ -319,8 +319,8 @@ TEST(TrainingStepWorkTest, PaperScaledWarmUpShardStep) {
     loss.Backward();
   });
   EXPECT_EQ(work.ops, 325);
-  EXPECT_EQ(work.allocations, 1433);
-  EXPECT_EQ(work.peak_bytes, 438524);
+  EXPECT_EQ(work.allocations, 1423);
+  EXPECT_EQ(work.peak_bytes, 438204);
 }
 
 TEST(TrainingStepWorkTest, PaperScaledCyclicShardStep) {
@@ -335,8 +335,8 @@ TEST(TrainingStepWorkTest, PaperScaledCyclicShardStep) {
     loss.Backward();
   });
   EXPECT_EQ(work.ops, 5695);
-  EXPECT_EQ(work.allocations, 20517);
-  EXPECT_EQ(work.peak_bytes, 3722996);
+  EXPECT_EQ(work.allocations, 20497);
+  EXPECT_EQ(work.peak_bytes, 3722356);
 }
 
 }  // namespace

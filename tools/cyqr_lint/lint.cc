@@ -1,18 +1,20 @@
 #include "lint.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
-#include "driver.h"
+#include "core/file_util.h"
 
 namespace cyqr_lint {
 
 namespace {
+
+namespace fs = std::filesystem;
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -44,31 +46,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-/// Joins strings with commas ("mu_,io_mu_") for the serialized facts.
-std::string JoinComma(const std::vector<std::string>& parts) {
-  std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += ',';
-    out += p;
-  }
-  return out;
-}
-
-std::vector<std::string> SplitComma(const std::string& joined) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : joined) {
-    if (c == ',') {
-      if (!cur.empty()) parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) parts.push_back(cur);
-  return parts;
-}
-
 /// Maps a mutex expression to its node in the global lock graph. Plain
 /// member names are qualified by the owning class ("mu_" in a
 /// MetricsRegistry method -> "MetricsRegistry::mu_") so same-named
@@ -86,91 +63,93 @@ std::string QualifyMutex(const std::string& class_name, std::string path) {
   return class_name + "::" + path;
 }
 
-}  // namespace
+/// Appends `mutexes` to `(*dest)[key]`, skipping any already listed.
+void AddMutexes(const std::string& key,
+                const std::vector<std::string>& mutexes,
+                std::map<std::string, std::vector<std::string>>* dest) {
+  std::vector<std::string>& listed = (*dest)[key];
+  for (const std::string& m : mutexes) {
+    if (std::find(listed.begin(), listed.end(), m) == listed.end()) {
+      listed.push_back(m);
+    }
+  }
+}
 
-bool IsAllowlisted(const LintOptions& options, const std::string& rule,
-                   const std::string& file) {
-  auto it = options.allow.find(rule);
-  if (it == options.allow.end()) return false;
-  for (const std::string& fragment : it->second) {
-    if (file.find(fragment) != std::string::npos) return true;
+bool HasLintableExtension(const fs::path& p) {
+  const std::string ext = p.extension().string();
+  return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp";
+}
+
+bool IsExcluded(const std::string& path,
+                const std::vector<std::string>& exclude) {
+  for (const std::string& fragment : exclude) {
+    if (path.find(fragment) != std::string::npos) return true;
   }
   return false;
 }
 
-void SeedContext(LintContext* ctx) {
-  // Core factory/propagation names: calls like Status::OK() or
-  // v.status() must be flagged even when core/status.h is not scanned.
-  ctx->status_functions.insert({"OK", "InvalidArgument", "NotFound",
-                                "OutOfRange", "FailedPrecondition",
-                                "Internal", "IoError", "Unimplemented",
-                                "status"});
+bool RuleEnabled(const LintOptions& options, const std::string& rule) {
+  return options.enabled_rules.empty() ||
+         options.enabled_rules.count(rule) != 0;
 }
 
-void AnalyzeFile(const ParsedFile& file, const LintContext& ctx,
-                 const LintOptions& options,
-                 const std::vector<std::unique_ptr<Rule>>& rules,
-                 std::vector<Diagnostic>* out, RuleTimings* timings) {
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const auto& rule = rules[r];
-    if (!options.enabled_rules.empty() &&
-        options.enabled_rules.count(rule->name()) == 0) {
-      continue;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<Diagnostic> found;
-    rule->Check(file, ctx, &found);
-    for (Diagnostic& d : found) {
-      if (IsSuppressed(file.lex, d.line, d.rule)) continue;
-      if (IsAllowlisted(options, d.rule, d.file)) continue;
-      out->push_back(std::move(d));
-    }
-    if (timings != nullptr) {
-      timings->Add(r, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-    }
-  }
-}
-
-void CollectThreadSafetyFacts(const ParsedFile& file,
-                              std::set<std::string>* core_facts,
-                              std::vector<std::string>* edge_facts) {
+/// Merges one file's declarations into the context: its Deadline-taking
+/// functions, CYQR_GUARDED_BY fields, and CYQR_REQUIRES / CYQR_ACQUIRE
+/// attachments (keyed both plain, "GetFamily", and class-qualified,
+/// "MetricsRegistry::GetFamily").
+void CollectDeclarations(const ParsedFile& file, LintContext* ctx) {
+  CollectDeadlineFunctions(file.lex, &ctx->deadline_functions);
   for (const GuardedFieldDecl& gf : file.guarded_fields) {
-    const std::string key = gf.class_name + "::" + gf.field;
-    core_facts->insert("gf " + key + " " + gf.mutex);
+    ctx->guarded_fields[gf.class_name + "::" + gf.field] = gf.mutex;
   }
   for (const AnnotationSite& site : file.annotations) {
-    const char* tag = nullptr;
-    std::vector<std::string> args = site.args;
+    std::map<std::string, std::vector<std::string>>* dest = nullptr;
+    std::vector<std::string> mutexes = site.args;
     if (site.macro == "CYQR_REQUIRES") {
-      tag = "rq";  // Mutexes stay as written: matched against the
-                   // caller's own lock regions and REQUIRES lists.
+      // Mutexes stay as written: matched against the caller's own lock
+      // regions and REQUIRES lists.
+      dest = &ctx->requires_functions;
     } else if (site.macro == "CYQR_ACQUIRE") {
-      tag = "aq";  // Mutexes become graph nodes: qualify them.
-      for (std::string& m : args) m = QualifyMutex(site.class_name, m);
+      // Mutexes become graph nodes: qualify them.
+      dest = &ctx->acquire_functions;
+      for (std::string& m : mutexes) m = QualifyMutex(site.class_name, m);
     } else {
       continue;  // RELEASE/EXCLUDES carry no cross-file obligations yet.
     }
-    const std::string joined = JoinComma(args);
-    if (joined.empty()) continue;
-    core_facts->insert(std::string(tag) + " " + site.function + " " + joined);
+    AddMutexes(site.function, mutexes, dest);
     if (!site.class_name.empty()) {
-      core_facts->insert(std::string(tag) + " " + site.class_name +
-                         "::" + site.function + " " + joined);
+      AddMutexes(site.class_name + "::" + site.function, mutexes, dest);
     }
   }
+}
 
+/// Appends one file's lock acquisition-order edges to the context: direct
+/// nesting of lock regions, calls to CYQR_ACQUIRE functions made while a
+/// lock is held, and lock regions inside CYQR_REQUIRES functions. Resolves
+/// against the merged maps, so it runs only after every file's
+/// declarations are in. A line carrying NOLINT(cyqr-lock-order-cycle)
+/// contributes no edge.
+void CollectLockOrderEdges(const ParsedFile& file, LintContext* ctx) {
   const char* kCycleRule = "lock-order-cycle";
-  std::set<std::string> seen;  // Dedup within the file.
-  auto emit = [&](const std::string& fact) {
-    if (seen.insert(fact).second) edge_facts->push_back(fact);
-  };
+  const std::string& path = file.lex.path;
+  std::vector<LockOrderEdge>& edges = ctx->lock_order_edges;
   for (const FunctionDef& fn : file.functions) {
+    auto qualify = [&fn](const std::string& m) {
+      return QualifyMutex(fn.class_name, m);
+    };
     // Mutexes held for the whole body via the definition's own REQUIRES.
     std::vector<std::string> held_always;
     for (const std::string& m : fn.requires_locks) {
-      held_always.push_back(QualifyMutex(fn.class_name, m));
+      held_always.push_back(qualify(m));
+    }
+    // A CYQR_REQUIRES declared for this function anywhere in the tree:
+    // its mutexes are held before every acquisition in the body.
+    auto required = ctx->requires_functions.end();
+    if (!fn.class_name.empty()) {
+      required = ctx->requires_functions.find(fn.class_name + "::" + fn.name);
+    }
+    if (required == ctx->requires_functions.end()) {
+      required = ctx->requires_functions.find(fn.name);
     }
     for (const LockRegion& outer : fn.locks) {
       // Direct nesting: a region opened inside another held region means
@@ -182,114 +161,53 @@ void CollectThreadSafetyFacts(const ParsedFile& file,
         if (IsSuppressed(file.lex, inner.line, kCycleRule)) continue;
         for (const std::string& mo : outer.mutexes) {
           for (const std::string& mi : inner.mutexes) {
-            emit("le " + QualifyMutex(fn.class_name, mo) + " " +
-                 QualifyMutex(fn.class_name, mi) + " " +
-                 std::to_string(inner.line));
+            edges.push_back({qualify(mo), qualify(mi), path, inner.line});
           }
         }
       }
-      // This function acquires these mutexes in its body; if some file
-      // declares a REQUIRES for it, the merge resolves that into edges.
+      if (required == ctx->requires_functions.end()) continue;
       if (IsSuppressed(file.lex, outer.line, kCycleRule)) continue;
-      const std::string cls = fn.class_name.empty() ? "-" : fn.class_name;
       for (const std::string& m : outer.mutexes) {
-        emit("fl " + cls + " " + fn.name + " " +
-             QualifyMutex(fn.class_name, m) + " " +
-             std::to_string(outer.line));
+        const std::string acquired = qualify(m);
+        for (const std::string& r : required->second) {
+          const std::string from = qualify(r);
+          if (from == acquired) continue;  // REQUIRES(m) + re-guard of m is
+                                           // the lock-scope rule's domain.
+          edges.push_back({from, acquired, path, outer.line});
+        }
       }
     }
-    // Calls made while a lock is held: if the callee is a CYQR_ACQUIRE
-    // function anywhere in the tree, the merge adds held -> acquired.
+    // Calls made while a lock is held: a callee that is a CYQR_ACQUIRE
+    // function anywhere in the tree adds held -> acquired.
     for (const CallSite& call : fn.calls) {
+      auto acquires = ctx->acquire_functions.find(call.callee);
+      if (acquires == ctx->acquire_functions.end()) continue;
       if (IsSuppressed(file.lex, call.line, kCycleRule)) continue;
+      std::vector<std::string> held = held_always;
       for (const LockRegion& region : fn.locks) {
         if (call.name_index < region.begin || call.name_index >= region.end) {
           continue;
         }
-        for (const std::string& m : region.mutexes) {
-          emit("hc " + QualifyMutex(fn.class_name, m) + " " + call.callee +
-               " " + std::to_string(call.line));
+        for (const std::string& m : region.mutexes) held.push_back(qualify(m));
+      }
+      for (const std::string& h : held) {
+        for (const std::string& acquired : acquires->second) {
+          edges.push_back({h, acquired, path, call.line});
         }
       }
-      for (const std::string& held : held_always) {
-        emit("hc " + held + " " + call.callee + " " +
-             std::to_string(call.line));
-      }
     }
   }
 }
 
-void MergeThreadSafetyFacts(const std::set<std::string>& core_facts,
-                            LintContext* ctx) {
-  for (const std::string& fact : core_facts) {
-    std::istringstream in(fact);
-    std::string tag, key, value;
-    if (!(in >> tag >> key >> value)) continue;
-    if (tag == "gf") {
-      ctx->guarded_fields[key] = value;
-      continue;
-    }
-    std::map<std::string, std::vector<std::string>>* dest = nullptr;
-    if (tag == "rq") dest = &ctx->requires_functions;
-    if (tag == "aq") dest = &ctx->acquire_functions;
-    if (dest == nullptr) continue;
-    std::vector<std::string>& mutexes = (*dest)[key];
-    for (const std::string& m : SplitComma(value)) {
-      if (std::find(mutexes.begin(), mutexes.end(), m) == mutexes.end()) {
-        mutexes.push_back(m);
-      }
-    }
-  }
-}
-
-void ResolveEdgeFacts(const std::string& file,
-                      const std::vector<std::string>& edge_facts,
-                      LintContext* ctx) {
-  for (const std::string& fact : edge_facts) {
-    std::istringstream in(fact);
-    std::string tag;
-    if (!(in >> tag)) continue;
-    if (tag == "le") {
-      LockOrderEdge edge;
-      if (!(in >> edge.from >> edge.to >> edge.line)) continue;
-      edge.file = file;
-      ctx->lock_order_edges.push_back(std::move(edge));
-    } else if (tag == "hc") {
-      std::string held, callee;
-      int line = 0;
-      if (!(in >> held >> callee >> line)) continue;
-      auto it = ctx->acquire_functions.find(callee);
-      if (it == ctx->acquire_functions.end()) continue;
-      for (const std::string& acquired : it->second) {
-        ctx->lock_order_edges.push_back({held, acquired, file, line});
-      }
-    } else if (tag == "fl") {
-      std::string cls, fn, acquired;
-      int line = 0;
-      if (!(in >> cls >> fn >> acquired >> line)) continue;
-      if (cls == "-") cls.clear();
-      auto it = ctx->requires_functions.end();
-      if (!cls.empty()) {
-        it = ctx->requires_functions.find(cls + "::" + fn);
-      }
-      if (it == ctx->requires_functions.end()) {
-        it = ctx->requires_functions.find(fn);
-      }
-      if (it == ctx->requires_functions.end()) continue;
-      for (const std::string& required : it->second) {
-        const std::string from = QualifyMutex(cls, required);
-        if (from == acquired) continue;  // REQUIRES(m) + re-guard of m is
-                                         // the lock-scope rule's domain.
-        ctx->lock_order_edges.push_back({from, acquired, file, line});
-      }
-    }
-  }
-}
-
+/// The whole-tree lock-order-cycle pass: finds strongly connected
+/// components in the merged acquisition-order graph and reports each
+/// cycle once, with the full witness path (every edge's file:line) in the
+/// message. Deterministic: edges are deduplicated and ordered before
+/// detection.
 std::vector<Diagnostic> CheckLockOrderCycles(const LintContext& ctx) {
   std::vector<Diagnostic> out;
   // Deduplicate edges, keeping the lexicographically first witness so
-  // reports are stable across runs and worker interleavings.
+  // reports do not depend on the order files were visited.
   std::vector<LockOrderEdge> edges = ctx.lock_order_edges;
   std::sort(edges.begin(), edges.end(),
             [](const LockOrderEdge& a, const LockOrderEdge& b) {
@@ -408,12 +326,85 @@ std::vector<Diagnostic> CheckLockOrderCycles(const LintContext& ctx) {
   return out;
 }
 
+}  // namespace
+
+std::vector<std::string> ExpandPaths(const std::vector<std::string>& paths,
+                                     const std::vector<std::string>& exclude,
+                                     std::vector<std::string>* errors) {
+  std::vector<std::string> files;
+  for (const std::string& p : paths) {
+    std::error_code ec;
+    if (fs::is_directory(p, ec)) {
+      for (fs::recursive_directory_iterator it(p, ec), end;
+           !ec && it != end; it.increment(ec)) {
+        if (it->is_regular_file(ec) && HasLintableExtension(it->path())) {
+          files.push_back(it->path().lexically_normal().string());
+        }
+      }
+      if (ec) errors->push_back("cannot walk directory: " + p);
+    } else if (fs::is_regular_file(p, ec)) {
+      files.push_back(fs::path(p).lexically_normal().string());
+    } else {
+      errors->push_back("no such file or directory: " + p);
+    }
+  }
+  files.erase(std::remove_if(files.begin(), files.end(),
+                             [&exclude](const std::string& f) {
+                               return IsExcluded(f, exclude);
+                             }),
+              files.end());
+  std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end()), files.end());
+  return files;
+}
+
 LintResult RunLint(const std::vector<std::string>& paths,
                    const LintOptions& options) {
-  DriverOptions driver_options;
-  driver_options.lint = options;
-  driver_options.jobs = 1;
-  return RunDriver(paths, driver_options).lint;
+  LintResult result;
+  std::vector<ParsedFile> files;
+  for (const std::string& path :
+       ExpandPaths(paths, options.exclude, &result.errors)) {
+    const cyqr::Result<std::string> source = cyqr::ReadFileToString(path);
+    if (!source.ok()) {
+      result.errors.push_back("cannot read: " + path);
+      continue;
+    }
+    files.push_back(ParseFile(LexFile(path, source.value())));
+  }
+  result.files_scanned = static_cast<int>(files.size());
+
+  // Every file's declarations must be in before any rule runs or any
+  // lock-order edge is resolved.
+  LintContext ctx;
+  for (const ParsedFile& file : files) CollectDeclarations(file, &ctx);
+
+  const std::vector<std::unique_ptr<Rule>> rules = BuildAllRules();
+  for (const ParsedFile& file : files) {
+    CollectLockOrderEdges(file, &ctx);
+    for (const auto& rule : rules) {
+      if (!RuleEnabled(options, rule->name())) continue;
+      std::vector<Diagnostic> found;
+      rule->Check(file, ctx, &found);
+      for (Diagnostic& d : found) {
+        if (IsSuppressed(file.lex, d.line, d.rule)) continue;
+        result.diagnostics.push_back(std::move(d));
+      }
+    }
+  }
+  // Whole-tree pass over the merged acquisition-order graph; NOLINT was
+  // applied where the edges were collected.
+  if (RuleEnabled(options, "lock-order-cycle")) {
+    for (Diagnostic& d : CheckLockOrderCycles(ctx)) {
+      result.diagnostics.push_back(std::move(d));
+    }
+  }
+  std::sort(result.diagnostics.begin(), result.diagnostics.end(),
+            [](const Diagnostic& a, const Diagnostic& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              return a.rule < b.rule;
+            });
+  return result;
 }
 
 std::string FormatText(const LintResult& result) {

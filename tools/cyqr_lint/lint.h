@@ -1,8 +1,6 @@
 #ifndef CYQR_LINT_LINT_H_
 #define CYQR_LINT_LINT_H_
 
-#include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,28 +12,12 @@
 
 namespace cyqr_lint {
 
-/// A mechanical, line-span-based repair attached to a diagnostic. Fixes
-/// are applied by the driver under --fix; they must be idempotent (a
-/// second --fix pass over fixed output produces no further edits).
-struct FixEdit {
-  enum class Kind {
-    kAppendToLine,     ///< Append `text` at the end of `line`.
-    kDeleteLine,       ///< Remove `line` entirely.
-    kInsertLineBefore  ///< Insert `text` as a new line before `line`.
-  };
-  Kind kind = Kind::kAppendToLine;
-  int line = 0;
-  std::string text;
-};
-
 /// One finding. Formats as "file:line: [rule] message".
 struct Diagnostic {
   std::string file;
   int line = 0;
   std::string rule;
   std::string message;
-  /// Optional mechanical repair (applied under --fix).
-  std::vector<FixEdit> fixes;
 };
 
 /// One acquisition-order edge in the global lock graph: `from` was held
@@ -48,14 +30,9 @@ struct LockOrderEdge {
   int line = 0;      ///< Witness line of the inner acquisition.
 };
 
-/// Cross-file facts shared by every rule. Populated by a pre-pass over
-/// all lexed files before any rule runs.
+/// Cross-file facts shared by every rule. Populated from every parsed
+/// file before any rule runs.
 struct LintContext {
-  /// Unqualified names of functions/methods declared to return Status or
-  /// Result<T> anywhere in the scanned tree. Seeded with the core factory
-  /// names so a call like Status::OK() is flagged even when status.h is
-  /// outside the scan set.
-  std::set<std::string> status_functions;
   /// Unqualified names of functions/methods that accept a Deadline (or
   /// DeadlineBudget) parameter anywhere in the scanned tree — the callee
   /// set for the deadline-propagation rule.
@@ -69,15 +46,14 @@ struct LintContext {
   /// CYQR_ACQUIRE attachments, keyed like requires_functions; values are
   /// class-qualified mutex nodes for the lock-order graph.
   std::map<std::string, std::vector<std::string>> acquire_functions;
-  /// The merged global acquisition-order graph. Deliberately NOT part of
-  /// the cache fingerprint: edges feed only the whole-tree cycle pass,
-  /// which is recomputed fresh every run, never replayed from cache.
+  /// The merged global acquisition-order graph, read only by the
+  /// whole-tree cycle pass.
   std::vector<LockOrderEdge> lock_order_edges;
 };
 
 /// A named invariant check. Rules are pure: they read the parsed file and
-/// the shared context and emit diagnostics; suppression and allowlists
-/// are applied by the driver.
+/// the shared context and emit diagnostics; NOLINT suppression is applied
+/// by RunLint.
 class Rule {
  public:
   virtual ~Rule() = default;
@@ -86,72 +62,24 @@ class Rule {
                      std::vector<Diagnostic>* out) const = 0;
 };
 
-/// All built-in rules: discarded-status, unchecked-stream,
-/// banned-functions, banned-unseeded-rng, raw-owning-new, include-hygiene,
-/// metrics-naming, lock-scope, deadline-propagation,
-/// lock-held-blocking-call, atomic-ordering-audit, result-unwrap-check,
-/// guarded-field-access, requires-not-held, lock-order-cycle.
+/// All built-in rules: unchecked-stream, banned-functions,
+/// banned-unseeded-rng, raw-owning-new, include-hygiene, metrics-naming,
+/// lock-scope, deadline-propagation, lock-held-blocking-call,
+/// atomic-ordering-audit, result-unwrap-check, guarded-field-access,
+/// requires-not-held, lock-order-cycle.
 std::vector<std::unique_ptr<Rule>> BuildAllRules();
 
-/// Scans one lexed file for Status/Result-returning declarations
-/// (the pre-pass behind LintContext::status_functions).
-void CollectStatusFunctions(const LexedFile& file,
-                            std::set<std::string>* names);
-
 /// Scans one lexed file for functions declared with a Deadline parameter
-/// (the pre-pass behind LintContext::deadline_functions). Works on raw
-/// tokens so pure declarations (`virtual ... = 0;`) are collected too.
+/// (behind LintContext::deadline_functions). Works on raw tokens so pure
+/// declarations (`virtual ... = 0;`) are collected too.
 void CollectDeadlineFunctions(const LexedFile& file,
                               std::set<std::string>* names);
-
-/// Extracts one file's thread-safety facts in serialized form so the
-/// driver can cache them and merge them into the LintContext.
-///
-/// `core_facts` are declaration facts that other files' diagnostics can
-/// depend on, so they take part in the driver's whole-context cache
-/// fingerprint:
-///   "gf <Class::field> <mutex>"   guarded-field declaration
-///   "rq <fnkey> <m1,m2>"          REQUIRES attachment (mutexes as written)
-///   "aq <fnkey> <qm1,qm2>"        ACQUIRE attachment (qualified nodes)
-/// Function keys are emitted both plain ("GetFamily") and class-qualified
-/// ("MetricsRegistry::GetFamily").
-///
-/// `edge_facts` describe this file's contribution to the global lock
-/// acquisition-order graph (resolved against the merged context by
-/// ResolveEdgeFacts; excluded from the fingerprint):
-///   "le <from> <to> <line>"          direct nested-region edge
-///   "hc <held> <callee> <line>"      call made while <held> was held
-///   "fl <class|-> <fn> <qm> <line>"  fn's body acquires <qm>
-/// Lines carrying NOLINT(cyqr-lock-order-cycle) are excluded at
-/// collection time, which keeps suppression sound for cache-hit files.
-void CollectThreadSafetyFacts(const ParsedFile& file,
-                              std::set<std::string>* core_facts,
-                              std::vector<std::string>* edge_facts);
-
-/// Merges one file's serialized core facts into the context maps.
-void MergeThreadSafetyFacts(const std::set<std::string>& core_facts,
-                            LintContext* ctx);
-
-/// Resolves one file's serialized edge facts against the merged
-/// requires/acquire maps and appends the resulting lock-order edges.
-/// Call only after every file's core facts have been merged.
-void ResolveEdgeFacts(const std::string& file,
-                      const std::vector<std::string>& edge_facts,
-                      LintContext* ctx);
-
-/// The whole-tree lock-order-cycle pass: finds strongly connected
-/// components in the merged acquisition-order graph and reports each
-/// cycle once, with the full witness path (every edge's file:line) in the
-/// message. Deterministic: edges are deduplicated and ordered before
-/// detection. Returns unsuppressed-but-unfiltered diagnostics; the caller
-/// applies allowlists.
-std::vector<Diagnostic> CheckLockOrderCycles(const LintContext& ctx);
 
 struct LintOptions {
   /// When non-empty, only rules named here run.
   std::set<std::string> enabled_rules;
-  /// rule name -> path substrings exempt from that rule.
-  std::map<std::string, std::vector<std::string>> allow;
+  /// Path substrings excluded from the scan entirely (fixtures etc.).
+  std::vector<std::string> exclude;
 };
 
 struct LintResult {
@@ -160,43 +88,18 @@ struct LintResult {
   std::vector<std::string> errors;  // Unreadable paths etc.
 };
 
-/// Cumulative per-rule wall time, indexed in lockstep with the rules
-/// vector passed to AnalyzeFile. Thread-safe: workers add from all lanes.
-class RuleTimings {
- public:
-  explicit RuleTimings(size_t rule_count) : nanos_(rule_count) {}
-  void Add(size_t rule_index, int64_t nanos) {
-    // ordering: relaxed — stats tally; nothing is published through it and
-    // the driver reads it only after the worker pool has drained.
-    nanos_[rule_index].fetch_add(nanos, std::memory_order_relaxed);
-  }
-  int64_t nanos(size_t rule_index) const {
-    // ordering: relaxed — stat snapshot for reporting; read after Drain().
-    return nanos_[rule_index].load(std::memory_order_relaxed);
-  }
-  size_t size() const { return nanos_.size(); }
-
- private:
-  std::vector<std::atomic<int64_t>> nanos_;
-};
-
-/// Runs every enabled rule over one parsed file, dropping
-/// NOLINT-suppressed and allowlisted findings. The per-file unit of work
-/// shared by RunLint and the parallel driver. When `timings` is given it
-/// accumulates each rule's wall time (same indexing as `rules`).
-void AnalyzeFile(const ParsedFile& file, const LintContext& ctx,
-                 const LintOptions& options,
-                 const std::vector<std::unique_ptr<Rule>>& rules,
-                 std::vector<Diagnostic>* out, RuleTimings* timings = nullptr);
-
-/// True when `file` matches an `--allow=rule:fragment` exemption.
-bool IsAllowlisted(const LintOptions& options, const std::string& rule,
-                   const std::string& file);
+/// Files or directories -> sorted unique list of lintable source files
+/// (.h/.hpp/.cc/.cpp), dropping any whose path contains an `exclude`
+/// fragment.
+std::vector<std::string> ExpandPaths(const std::vector<std::string>& paths,
+                                     const std::vector<std::string>& exclude,
+                                     std::vector<std::string>* errors);
 
 /// Lints every C++ source file under `paths` (files or directories,
-/// recursively; .h/.hpp/.cc/.cpp). Two passes: collect cross-file facts,
-/// then run rules, dropping NOLINT-suppressed and allowlisted findings.
-/// Serial convenience wrapper over the driver in driver.h.
+/// recursively) in one serial pass: lex and parse every file, merge the
+/// cross-file declarations, then per file collect its lock-order edges
+/// and run the rules (dropping NOLINT-suppressed findings), then run the
+/// whole-tree lock-order-cycle pass.
 LintResult RunLint(const std::vector<std::string>& paths,
                    const LintOptions& options);
 
@@ -208,10 +111,6 @@ std::string FormatJson(const LintResult& result);
 /// Renders the result as a SARIF 2.1.0 log (one run, every built-in rule
 /// listed in the tool component) for GitHub code scanning upload.
 std::string FormatSarif(const LintResult& result);
-
-/// Seeds LintContext with the core factory/propagation names that must be
-/// recognized even when core/status.h is outside the scan set.
-void SeedContext(LintContext* ctx);
 
 }  // namespace cyqr_lint
 

@@ -1,16 +1,13 @@
 // cyqr_lint — project-native static analyzer for the cycleqr tree.
 //
 //   cyqr_lint [--json] [--sarif=FILE] [--rule=NAME ...]
-//             [--allow=RULE:PATH_FRAGMENT ...]
-//             [--exclude=PATH_FRAGMENT ...] [--jobs=N] [--cache=FILE]
-//             [--stats] [--fix] [--fix-dry-run] [--fix-nolint=RULE ...]
-//             [--list-rules] PATH [PATH ...]
+//             [--exclude=PATH_FRAGMENT ...] [--list-rules] PATH [PATH ...]
 //
 // Walks the given files/directories (.h .hpp .cc .cpp) and enforces the
-// project invariants as named rules. The flat token rules:
+// project invariants as named rules. A discarded Status or Result<T> is
+// not among them: both are `class [[nodiscard]]` and every build compiles
+// with -Werror=unused-result. The flat token rules:
 //
-//   discarded-status   a Status/Result-returning call whose value is
-//                      ignored at statement level
 //   unchecked-stream   a file stream that is never error-checked after
 //                      use (the PR-1 LoadParameters bug class)
 //   banned-functions   std::rand / atoi / sprintf / time(nullptr) —
@@ -20,7 +17,7 @@
 //                      default_random_engine construction (declaration
 //                      or temporary): the implicit default seed breaks
 //                      replay-from-seed
-//   raw-owning-new     raw new/delete outside an allowlist
+//   raw-owning-new     raw new/delete without a NOLINT exemption
 //   include-hygiene    headers without guards; .cc files whose own
 //                      header is not the first include
 //   metrics-naming     metric names outside the <subsystem>_<noun>_
@@ -57,26 +54,20 @@
 //
 // Suppression: `// NOLINT(cyqr-<rule>)` on the offending line, or
 // `// NOLINTNEXTLINE(cyqr-<rule>)` on the line above; a justification
-// after the closing paren is expected by review convention. Allowlists
-// exempt whole paths: `--allow=raw-owning-new:bench/`.
+// after the closing paren is expected by review convention.
 //
-// Driver: analysis runs in parallel on the project's own
-// cyqr::ThreadPool (--jobs). With --cache=FILE, per-file facts and
-// diagnostics are keyed by content hash plus a whole-context
-// fingerprint, so an unchanged file costs one hash on re-run (--stats
-// prints the hit counts). --fix applies the mechanical span fixes
-// (include reordering; NOLINT insertion for rules named via
-// --fix-nolint=RULE); --fix-dry-run prints the edits instead.
+// One serial pass (RunLint): lex and parse every file, merge the
+// cross-file declarations, run the rules file by file, then search the
+// merged lock graph for cycles. The whole tree lints in well under a
+// second.
 //
 // Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/file_util.h"
-#include "driver.h"
 #include "lint.h"
 
 namespace cyqr_lint {
@@ -85,18 +76,15 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: cyqr_lint [--json] [--sarif=FILE] [--rule=NAME ...] "
-               "[--allow=RULE:PATH_FRAGMENT ...] "
-               "[--exclude=PATH_FRAGMENT ...] [--jobs=N] [--cache=FILE] "
-               "[--stats] [--fix] [--fix-dry-run] [--fix-nolint=RULE ...] "
-               "[--list-rules] PATH [PATH ...]\n");
+               "[--exclude=PATH_FRAGMENT ...] [--list-rules] "
+               "PATH [PATH ...]\n");
   return 2;
 }
 
 int Main(int argc, char** argv) {
-  DriverOptions options;
+  LintOptions options;
   std::vector<std::string> paths;
   bool json = false;
-  bool stats = false;
   std::string sarif_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -107,18 +95,6 @@ int Main(int argc, char** argv) {
       sarif_path = arg.substr(8);
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--fix") {
-      options.fix = true;
-    } else if (arg == "--fix-dry-run") {
-      options.fix_dry_run = true;
-    } else if (arg.rfind("--fix-nolint=", 0) == 0) {
-      options.fix_nolint_rules.push_back(arg.substr(13));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = static_cast<int>(std::strtol(arg.c_str() + 7, nullptr, 10));
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_path = arg.substr(8);
     } else if (arg.rfind("--exclude=", 0) == 0) {
       options.exclude.push_back(arg.substr(10));
     } else if (arg == "--list-rules") {
@@ -127,17 +103,7 @@ int Main(int argc, char** argv) {
       }
       return 0;
     } else if (arg.rfind("--rule=", 0) == 0) {
-      options.lint.enabled_rules.insert(arg.substr(7));
-    } else if (arg.rfind("--allow=", 0) == 0) {
-      const std::string spec = arg.substr(8);
-      const size_t colon = spec.find(':');
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 >= spec.size()) {
-        std::fprintf(stderr, "bad --allow spec: %s\n", spec.c_str());
-        return Usage();
-      }
-      options.lint.allow[spec.substr(0, colon)].push_back(
-          spec.substr(colon + 1));
+      options.enabled_rules.insert(arg.substr(7));
     } else if (arg == "--help" || arg == "-h") {
       return Usage();
     } else if (arg.rfind("--", 0) == 0) {
@@ -149,34 +115,29 @@ int Main(int argc, char** argv) {
   }
   if (paths.empty()) return Usage();
 
-  const DriverResult result = RunDriver(paths, options);
-  for (const std::string& error : result.lint.errors) {
+  const LintResult result = RunLint(paths, options);
+  for (const std::string& error : result.errors) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
   }
   bool sarif_failed = false;
   if (!sarif_path.empty()) {
     const cyqr::Status written =
-        cyqr::WriteStringToFileAtomic(sarif_path, FormatSarif(result.lint));
+        cyqr::WriteStringToFileAtomic(sarif_path, FormatSarif(result));
     if (!written.ok()) {
       std::fprintf(stderr, "error: cannot write SARIF: %s\n",
                    sarif_path.c_str());
       sarif_failed = true;
     }
   }
-  if (options.fix_dry_run && !result.fix_diff.empty()) {
-    std::fputs(result.fix_diff.c_str(), stdout);
-  }
   if (json) {
-    std::fputs(FormatJson(result.lint).c_str(), stdout);
+    std::fputs(FormatJson(result).c_str(), stdout);
   } else {
-    std::fputs(FormatText(result.lint).c_str(), stdout);
+    std::fputs(FormatText(result).c_str(), stdout);
     std::fprintf(stderr, "cyqr_lint: %d file(s), %zu violation(s)\n",
-                 result.lint.files_scanned,
-                 result.lint.diagnostics.size());
+                 result.files_scanned, result.diagnostics.size());
   }
-  if (stats) std::fputs(FormatStats(result.stats).c_str(), stderr);
-  if (!result.lint.errors.empty() || sarif_failed) return 2;
-  return result.lint.diagnostics.empty() ? 0 : 1;
+  if (!result.errors.empty() || sarif_failed) return 2;
+  return result.diagnostics.empty() ? 0 : 1;
 }
 
 }  // namespace

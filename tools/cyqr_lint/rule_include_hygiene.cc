@@ -87,17 +87,6 @@ class IncludeHygieneRule : public Rule {
         d.message = "own header '" + target.string() +
                     "' must be the first include (currently line " +
                     std::to_string(first_line) + " comes first)";
-        // Span fix: delete the misplaced include and re-insert it before
-        // the include that currently sits first.
-        FixEdit del;
-        del.kind = FixEdit::Kind::kDeleteLine;
-        del.line = tok.line;
-        d.fixes.push_back(std::move(del));
-        FixEdit ins;
-        ins.kind = FixEdit::Kind::kInsertLineBefore;
-        ins.line = first_line;
-        ins.text = "#include " + tok.aux;
-        d.fixes.push_back(std::move(ins));
         out->push_back(std::move(d));
         return;
       }

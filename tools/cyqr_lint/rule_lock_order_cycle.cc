@@ -6,11 +6,11 @@ namespace {
 
 /// Whole-tree deadlock detection over the global lock acquisition-order
 /// graph. The per-file Check is intentionally empty: edges are collected
-/// per file by CollectThreadSafetyFacts (cache-safe, NOLINT applied at
-/// collection time) and the cycle search runs once over the merged graph
-/// in the driver (CheckLockOrderCycles in lint.cc) after every file's
-/// facts are in. This registration gives the pass its rule name for
-/// --list-rules, --rule=, --allow=, and NOLINT(cyqr-lock-order-cycle).
+/// per file by CollectLockOrderEdges (NOLINT applied at collection time)
+/// and the cycle search runs once over the merged graph in RunLint
+/// (CheckLockOrderCycles in lint.cc) after every file's edges are in.
+/// This registration gives the pass its rule name for --list-rules,
+/// --rule=, and NOLINT(cyqr-lock-order-cycle).
 class LockOrderCycleRule : public Rule {
  public:
   const char* name() const override { return "lock-order-cycle"; }

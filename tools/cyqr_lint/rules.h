@@ -35,7 +35,6 @@ void MarkValueUseContexts(const std::vector<Token>& toks,
 bool IsControlKeyword(const std::string& ident);
 
 /// Rule factories (one translation unit per rule).
-std::unique_ptr<Rule> MakeDiscardedStatusRule();
 std::unique_ptr<Rule> MakeUncheckedStreamRule();
 std::unique_ptr<Rule> MakeBannedFunctionsRule();
 std::unique_ptr<Rule> MakeUnseededRngRule();

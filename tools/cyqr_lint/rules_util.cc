@@ -6,7 +6,6 @@ namespace cyqr_lint {
 
 std::vector<std::unique_ptr<Rule>> BuildAllRules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(MakeDiscardedStatusRule());
   rules.push_back(MakeUncheckedStreamRule());
   rules.push_back(MakeBannedFunctionsRule());
   rules.push_back(MakeUnseededRngRule());
