@@ -67,8 +67,8 @@ std::unique_ptr<CycleModel> GetTrainedCycleModel(
     const std::string& cache_key) {
   Rng rng(1234);
   auto model = std::make_unique<CycleModel>(config, rng);
-  const std::string path =
-      std::string(kCacheDir) + "/" + cache_key + ".params";
+  const std::string path = std::string(kCacheDir) + "/" + cache_key + "." +
+                           kTrainingTrajectoryTag + ".params";
   if (std::filesystem::exists(path) &&
       LoadParametersFromFile(model->Parameters(), path).ok()) {
     std::printf("[bench] loaded cached model '%s'\n", cache_key.c_str());

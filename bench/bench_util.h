@@ -38,9 +38,17 @@ CycleConfig BenchCycleConfig(int64_t vocab_size,
 /// Default Algorithm 1 schedule used by the benches.
 CycleTrainerOptions BenchTrainerOptions(bool joint);
 
+/// Names the training trajectory the cached models were trained on; it is
+/// part of every cache file name. Bump it with any change that moves the
+/// training bits (the engine, its random streams, an op's arithmetic), so
+/// a cache directory from before the change retrains instead of loading a
+/// model the current code would not train.
+inline constexpr char kTrainingTrajectoryTag[] = "dp-engine-1";
+
 /// Returns a trained cycle model, loading cached parameters from
-/// cyqr_bench_cache/<cache_key>.params when present (training results are
-/// deterministic, so the cache is exact). Delete the directory to retrain.
+/// cyqr_bench_cache/<cache_key>.<kTrainingTrajectoryTag>.params when
+/// present (training results are deterministic, so the cache is exact).
+/// Delete the directory to retrain.
 std::unique_ptr<CycleModel> GetTrainedCycleModel(
     const BenchWorld& world, const CycleConfig& config, bool joint,
     const std::string& cache_key);

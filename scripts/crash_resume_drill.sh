@@ -5,22 +5,29 @@
 # checkpoint, and require the resumed run's saved parameters to be
 # byte-identical to the uninterrupted baseline's.
 #
-# Two modes:
-#   legacy (default) — single-threaded trainer, coordinator crash.
-#   dp               — data-parallel trainer: the uninterrupted baseline
-#                      runs with 1 worker, the crashed run loses worker
-#                      rank 1 mid-step under 2 workers, and the resume
-#                      finishes under 4 workers. Parameters AND the final
-#                      convergence-curve point must still be bit-identical
-#                      to the baseline: worker count is never allowed to
-#                      change the trajectory.
+# Two modes, both on the trainer's one data-parallel engine:
+#   coordinator (default) — every run uses the host's worker count
+#                           (--workers 0: one rank per core, at most the
+#                           4 gradient shards); the coordinator, rank 0,
+#                           dies as step 23 begins (--crash-at-step).
+#   dp                    — the uninterrupted baseline runs with 1 worker,
+#                           the crashed run loses worker rank 1 mid-step
+#                           under 2 workers, and the resume finishes under
+#                           4 workers. Parameters AND the final
+#                           convergence-curve point must still be
+#                           bit-identical to the baseline: worker count is
+#                           never allowed to change the trajectory.
 #
 # Usage: scripts/crash_resume_drill.sh /path/to/cyqr_cli [workdir] [mode]
 set -euo pipefail
 
 CLI="${1:?usage: crash_resume_drill.sh /path/to/cyqr_cli [workdir] [mode]}"
 WORK="${2:-$(mktemp -d)}"
-MODE="${3:-legacy}"
+MODE="${3:-coordinator}"
+if [[ "$MODE" != "coordinator" && "$MODE" != "dp" ]]; then
+  echo "unknown mode '$MODE' (expected coordinator or dp)" >&2
+  exit 2
+fi
 mkdir -p "$WORK"
 rm -rf "$WORK/data" "$WORK/baseline" "$WORK/crashed"
 
@@ -128,11 +135,11 @@ CRASH_AT=23
 TRAIN_FLAGS=(--steps "$STEPS" --warmup 24 --batch 4 --layers 1
              --seed 99 --checkpoint-every 5)
 
-echo "== baseline: uninterrupted run"
+echo "== coordinator baseline: uninterrupted run at the host's worker count"
 "$CLI" train --data "$WORK/data/pairs.tsv" --out "$WORK/baseline" \
   "${TRAIN_FLAGS[@]}"
 
-echo "== crashed run: injecting hard crash at step $CRASH_AT"
+echo "== coordinator crashed run: rank 0 dies at step $CRASH_AT"
 set +e
 "$CLI" train --data "$WORK/data/pairs.tsv" --out "$WORK/crashed" \
   "${TRAIN_FLAGS[@]}" --crash-at-step "$CRASH_AT"

@@ -17,7 +17,7 @@ namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x43595143;  // "CYQC"
 constexpr uint32_t kFooterMagic = 0x43464b43;      // "CKFC"
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 // Bounds for counts parsed out of a (checksummed, but possibly
 // maliciously crafted) file, so a bad length can't drive an allocation.
 constexpr uint64_t kMaxBlobBytes = 1ull << 32;
@@ -97,7 +97,6 @@ Status SaveTrainerCheckpoint(const std::vector<Tensor>& params,
   AppendPod(&payload, kVersion);
   AppendPod(&payload, state.step);
   AppendRngState(&payload, state.trainer_rng);
-  AppendRngState(&payload, state.model_rng);
   AppendPod(&payload, state.consecutive_anomalies);
   AppendPod(&payload, state.skipped_batches);
 
@@ -186,7 +185,6 @@ Status LoadTrainerCheckpoint(std::vector<Tensor> params,
   CYQR_RETURN_IF_ERROR(reader.Read(&staged.step, "step"));
   CYQR_RETURN_IF_ERROR(reader.ReadRngState(&staged.trainer_rng,
                                            "trainer rng"));
-  CYQR_RETURN_IF_ERROR(reader.ReadRngState(&staged.model_rng, "model rng"));
   CYQR_RETURN_IF_ERROR(reader.Read(&staged.consecutive_anomalies,
                                    "anomaly counter"));
   CYQR_RETURN_IF_ERROR(reader.Read(&staged.skipped_batches,

@@ -13,14 +13,13 @@
 namespace cyqr {
 
 /// Everything beyond the model parameters that CycleTrainer needs to
-/// resume a run bit-identically: the step counter, both RNG streams (the
-/// trainer's batch-sampling stream and the model's dropout stream), the
-/// full Adam state, the Figure-7 metrics curve, the per-step gradient-norm
-/// trace, and the guardrail counters.
+/// resume a run bit-identically: the step counter, the batch-sampling RNG
+/// stream (every decode and dropout stream derives from (seed, step,
+/// shard)), the full Adam state, the Figure-7 metrics curve, the per-step
+/// gradient-norm trace, and the guardrail counters.
 struct TrainerCheckpoint {
   int64_t step = 0;
   RngState trainer_rng;
-  RngState model_rng;
   int64_t consecutive_anomalies = 0;
   int64_t skipped_batches = 0;
   AdamState optimizer;
@@ -40,7 +39,9 @@ struct TrainerCheckpoint {
 /// Loads a checkpoint back. All-or-nothing: the whole-file checksum is
 /// verified before anything is parsed, and the destination tensors are
 /// only written after every embedded section validates, so a corrupt or
-/// truncated file never half-restores a trainer.
+/// truncated file never half-restores a trainer. A file of another format
+/// version (version 1 also held the model's dropout stream) is
+/// InvalidArgument.
 [[nodiscard]] Status LoadTrainerCheckpoint(std::vector<Tensor> params,
                                            TrainerCheckpoint* state,
                                            const std::string& path);

@@ -25,9 +25,11 @@ class CycleModel {
 
   const CycleConfig& config() const { return config_; }
 
-  /// The Rng the model was built with — the dropout layers keep drawing
-  /// from it during training, so resumable training must checkpoint its
-  /// state alongside the parameters.
+  /// The Rng the model was built with, which the dropout layers draw
+  /// from. The training engine re-seeds it from a (seed, step, shard)
+  /// stream before each shard it computes on this model, so its state
+  /// after CycleTrainer::Train() depends on the worker count K: nothing
+  /// may draw from it and expect reproducible bits.
   Rng& rng() { return *rng_; }
 
   /// Trainable parameters of both models (forward first).

@@ -55,12 +55,11 @@ std::vector<SeqPair> ReversePairs(const std::vector<SeqPair>& pairs) {
 
 namespace {
 
-/// The full forward construction of one batch's loss — L_f + L_b, plus the
-/// cycle term when `cyclic` (Algorithm 1 lines 9-12 / Eq. 5). Shared by
-/// the legacy in-thread step and the data-parallel shard compute: any
-/// model replica with identical parameters, identical `decode_rng` state,
-/// and an identical dropout stream produces bit-identical loss and
-/// gradients, which is the whole determinism argument.
+/// The full forward construction of one shard's loss — L_f + L_b, plus the
+/// cycle term when `cyclic` (Algorithm 1 lines 9-12 / Eq. 5). Any model
+/// replica with identical parameters, identical `decode_rng` state, and an
+/// identical dropout stream produces bit-identical loss and gradients,
+/// which is the whole determinism argument.
 Tensor ComputeBatchLoss(CycleModel& model, const CycleTrainerOptions& options,
                         const std::vector<SeqPair>& batch, bool cyclic,
                         Rng& decode_rng) {
@@ -149,21 +148,24 @@ struct StepPlan {
   std::vector<SeqPair> batch;  // The full global batch, shard-sliced later.
 };
 
-/// Shared state of one data-parallel Train() run. The plan rides under a
-/// reader/writer lock (the coordinator is the only writer; ranks take the
-/// shared side). The gradient slots and shard losses are deliberately
+}  // namespace
+
+/// Shared state of the engine's K ranks, for one Train() run or for every
+/// StepOnce() call. The plan rides under a reader/writer lock (the
+/// coordinator is the only writer; ranks take the shared side). The gradient slots and shard losses are deliberately
 /// unlocked: each slot/loss index has exactly one writer per step, and the
 /// collective's barriers hand the elements across threads with a proper
 /// happens-before edge. The slots are allocated once, full length, and
 /// every step overwrites them in place.
 class DataParallelContext {
  public:
-  DataParallelContext(const Collective::Options& collective_options,
-                      int64_t num_shards, int64_t slot_size)
-      : collective(collective_options),
-        slots(static_cast<size_t>(num_shards),
+  DataParallelContext(int64_t world_size, const CycleTrainerOptions& options,
+                      int64_t slot_size)
+      : collective({static_cast<int>(world_size),
+                    options.collective_timeout_millis}),
+        slots(static_cast<size_t>(options.grad_shards),
               std::vector<float>(static_cast<size_t>(slot_size))),
-        shard_losses(static_cast<size_t>(num_shards), 0.0) {}
+        shard_losses(static_cast<size_t>(options.grad_shards), 0.0) {}
 
   void PublishPlan(StepPlan next) {
     std::unique_lock<std::shared_mutex> lock(plan_mu_);
@@ -183,6 +185,8 @@ class DataParallelContext {
   mutable std::shared_mutex plan_mu_;
   StepPlan plan_ CYQR_GUARDED_BY(plan_mu_);
 };
+
+namespace {
 
 /// Computes every gradient shard owned by `rank` (shard j is owned by rank
 /// j % K) into ctx.slots / ctx.shard_losses, then runs the per-rank fault
@@ -305,6 +309,25 @@ Status TimedBarrier(Collective& collective, int64_t step) {
   return status;
 }
 
+Status CheckShardOptions(const CycleTrainerOptions& options) {
+  if (options.grad_shards < 1) {
+    return Status::InvalidArgument("options.grad_shards must be >= 1");
+  }
+  if (options.batch_size % options.grad_shards != 0) {
+    return Status::InvalidArgument(
+        "options.batch_size (" + std::to_string(options.batch_size) +
+        ") must be divisible by options.grad_shards (" +
+        std::to_string(options.grad_shards) + ")");
+  }
+  if (options.workers < 0 || options.workers > options.grad_shards) {
+    return Status::InvalidArgument(
+        "options.workers (" + std::to_string(options.workers) +
+        ") must be in [0, options.grad_shards (" +
+        std::to_string(options.grad_shards) + ")]");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 CycleTrainer::CycleTrainer(CycleModel* model,
@@ -321,6 +344,8 @@ CycleTrainer::CycleTrainer(CycleModel* model,
   CYQR_CHECK(!train_.empty());
   InitInstruments(options.metrics);
 }
+
+CycleTrainer::~CycleTrainer() = default;
 
 void CycleTrainer::InitInstruments(MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
@@ -357,43 +382,59 @@ std::vector<SeqPair> CycleTrainer::SampleBatch() {
   return batch;
 }
 
-double CycleTrainer::StepOnce() {
-  ++step_;
-  // Flight event: args = (step, 0). A crash dump whose last train event is
-  // a step_begin with no matching step_end identifies the in-flight step.
+Result<double> CycleTrainer::RunStep(DataParallelContext& ctx) {
+  Stopwatch step_watch;
+  const double wait_before = ctx.collective.total_wait_millis();
+  const int64_t next_step = step_ + 1;
+  if (options_.fault_plan.crash_at_step == next_step) {
+    SimulateCrash();  // Drill hook: die as if SIGKILLed mid-run.
+  }
+  StepPlan plan;
+  plan.step = next_step;
+  plan.adam_step = optimizer_.step_count() + 1;
+  plan.cyclic = options_.joint && next_step > options_.warmup_steps;
+  plan.batch = SampleBatch();
+  int64_t batch_tokens = 0;
+  for (const SeqPair& p : plan.batch) {
+    batch_tokens += static_cast<int64_t>(p.src.size() + p.tgt.size());
+  }
+  // Flight event: args = (step, batch tokens). A crash dump whose last
+  // train event is a step_begin with no matching step_end identifies the
+  // in-flight step.
   static const int32_t kStepBeginEvent =
       FlightRecorder::Global().InternName("train.step_begin");
   FlightRecorder::Global().Record(FlightCategory::kTrain, kStepBeginEvent,
-                                  step_, 0);
-  Stopwatch step_watch;
-  optimizer_.set_learning_rate(schedule_.LearningRate(step_));
-  const std::vector<SeqPair> batch = SampleBatch();
-  int64_t batch_tokens = 0;
-  for (const SeqPair& p : batch) {
-    batch_tokens += static_cast<int64_t>(p.src.size() + p.tgt.size());
-  }
-  const bool cyclic_phase =
-      options_.joint && step_ > options_.warmup_steps;
-  Tensor loss =
-      ComputeBatchLoss(*model_, options_, batch, cyclic_phase, rng_);
+                                  next_step, batch_tokens);
+  // Every rank reads the learning rate in its optimizer slice; the plan
+  // barrier publishes it with the plan.
+  optimizer_.set_learning_rate(schedule_.LearningRate(next_step));
+  ctx.PublishPlan(plan);
+  // Plan barrier.
+  CYQR_RETURN_IF_ERROR(TimedBarrier(ctx.collective, next_step));
+  CYQR_RETURN_IF_ERROR(ComputeOwnedShards(0, plan, *model_, options_, ctx));
+  // Compute barrier.
+  CYQR_RETURN_IF_ERROR(TimedBarrier(ctx.collective, next_step));
+  Stopwatch allreduce_watch;
+  CYQR_RETURN_IF_ERROR(ctx.collective.AllReduceSum(0, &ctx.slots));
+  const double allreduce_millis = allreduce_watch.ElapsedMillis();
 
-  optimizer_.ZeroGrad();
-  loss.Backward();
-  double loss_value = loss.item();
-  if (options_.fault_plan.StepHasNanLoss(step_)) {
-    // Drill hook: pretend this batch produced a NaN loss so the guardrail
-    // path below is exercised end to end.
-    loss_value = std::numeric_limits<double>::quiet_NaN();
-  }
-  const double grad_norm =
-      ClipGradNorm(model_->Parameters(), options_.grad_clip);
-  grad_norms_.push_back(grad_norm);
-  const bool anomaly = !std::isfinite(loss_value) ||
-                       !std::isfinite(grad_norm) ||
-                       grad_norm > options_.anomaly_grad_norm;
-  if (anomaly) {
-    // Skip the update: the parameters stay untouched by a poisoned batch,
-    // and the streak counter drives the rollback decision in Train().
+  // Every rank judges the step from slot 0 itself, so the verdict needs
+  // no barrier, and steps its slice of the master parameters. After the
+  // tail barrier the coordinator owns everything up to the next plan
+  // barrier: the traces, evaluation, and checkpointing all happen while
+  // the workers are parked, so no collective can be torn by a mid-step
+  // checkpoint and rank 0 is the only writer of curve/grad-norm state.
+  Stopwatch optimizer_watch;
+  const StepVerdict verdict =
+      StepOptimizerSlice(0, plan, options_, ctx, optimizer_);
+  // Tail barrier.
+  CYQR_RETURN_IF_ERROR(TimedBarrier(ctx.collective, next_step));
+  const double optimizer_millis = optimizer_watch.ElapsedMillis();
+  ++step_;
+  grad_norms_.push_back(verdict.grad_norm);
+  if (verdict.anomaly) {
+    // The update was skipped: the parameters stay untouched by a poisoned
+    // batch, and the streak counter drives the rollback in PostStep().
     ++consecutive_anomalies_;
     ++skipped_batches_;
     // Flight event: args = (step, anomaly streak length).
@@ -403,7 +444,7 @@ double CycleTrainer::StepOnce() {
                                     step_, consecutive_anomalies_);
   } else {
     consecutive_anomalies_ = 0;
-    optimizer_.Step();
+    optimizer_.set_step_count(plan.adam_step);
   }
   if (obs_ != nullptr) {
     const double step_seconds = step_watch.ElapsedSeconds();
@@ -412,9 +453,15 @@ double CycleTrainer::StepOnce() {
     if (step_seconds > 0) {
       obs_->tokens_per_sec->Set(batch_tokens / step_seconds);
     }
-    if (std::isfinite(loss_value)) obs_->loss->Set(loss_value);
-    if (std::isfinite(grad_norm)) obs_->grad_norm->Set(grad_norm);
-    if (anomaly) obs_->skipped_batches->Increment();
+    if (std::isfinite(verdict.loss)) obs_->loss->Set(verdict.loss);
+    if (std::isfinite(verdict.grad_norm)) {
+      obs_->grad_norm->Set(verdict.grad_norm);
+    }
+    if (verdict.anomaly) obs_->skipped_batches->Increment();
+    obs_->collective_wait->Observe(ctx.collective.total_wait_millis() -
+                                   wait_before);
+    obs_->allreduce->Observe(allreduce_millis);
+    obs_->optimizer->Observe(optimizer_millis);
   }
   // Flight event: args = (step, step time in micros).
   static const int32_t kStepEndEvent =
@@ -422,7 +469,19 @@ double CycleTrainer::StepOnce() {
   FlightRecorder::Global().Record(
       FlightCategory::kTrain, kStepEndEvent, step_,
       static_cast<int64_t>(step_watch.ElapsedMicros()));
-  return loss_value;
+  return verdict.loss;
+}
+
+double CycleTrainer::StepOnce() {
+  if (step_ctx_ == nullptr) {
+    const Status valid = CheckShardOptions(options_);
+    CYQR_CHECK_MSG(valid.ok(), valid.ToString().c_str());
+    step_ctx_ = std::make_unique<DataParallelContext>(
+        1, options_, TotalParameterSize(model_->Parameters()));
+  }
+  const Result<double> loss = RunStep(*step_ctx_);
+  CYQR_CHECK_MSG(loss.ok(), loss.status().ToString().c_str());
+  return loss.value();
 }
 
 TrainMetricsPoint CycleTrainer::Evaluate(
@@ -513,7 +572,6 @@ Status CycleTrainer::SaveCheckpoint() {
   TrainerCheckpoint ckpt;
   ckpt.step = step_;
   ckpt.trainer_rng = rng_.state();
-  ckpt.model_rng = model_->rng().state();
   ckpt.consecutive_anomalies = consecutive_anomalies_;
   ckpt.skipped_batches = skipped_batches_;
   ckpt.optimizer = optimizer_.ExportState();
@@ -545,7 +603,6 @@ Status CycleTrainer::Resume(const std::string& path) {
       LoadTrainerCheckpoint(model_->Parameters(), &ckpt, path));
   CYQR_RETURN_IF_ERROR(optimizer_.ImportState(ckpt.optimizer));
   rng_.set_state(ckpt.trainer_rng);
-  model_->rng().set_state(ckpt.model_rng);
   step_ = ckpt.step;
   consecutive_anomalies_ = ckpt.consecutive_anomalies;
   skipped_batches_ = ckpt.skipped_batches;
@@ -618,38 +675,13 @@ Status CycleTrainer::Train(const std::vector<SeqPair>& eval_pairs) {
                              options_.checkpoint_dir);
     }
   }
-  if (options_.workers >= 1) return TrainDataParallel(eval_pairs);
-  while (step_ < options_.max_steps) {
-    if (options_.fault_plan.crash_at_step == step_ + 1) {
-      SimulateCrash();  // Drill hook: die as if SIGKILLed mid-run.
-    }
-    StepOnce();
-    CYQR_RETURN_IF_ERROR(PostStep(eval_pairs));
-  }
-  return Status::OK();
-}
-
-Status CycleTrainer::TrainDataParallel(
-    const std::vector<SeqPair>& eval_pairs) {
-  if (options_.grad_shards < 1) {
-    return Status::InvalidArgument("options.grad_shards must be >= 1");
-  }
-  if (options_.batch_size % options_.grad_shards != 0) {
-    return Status::InvalidArgument(
-        "options.batch_size (" + std::to_string(options_.batch_size) +
-        ") must be divisible by options.grad_shards (" +
-        std::to_string(options_.grad_shards) + ")");
-  }
-  if (options_.workers > options_.grad_shards) {
-    return Status::InvalidArgument(
-        "options.workers (" + std::to_string(options_.workers) +
-        ") must not exceed options.grad_shards (" +
-        std::to_string(options_.grad_shards) + ")");
-  }
-  Collective::Options collective_options;
-  collective_options.world_size = static_cast<int>(options_.workers);
-  collective_options.timeout_millis = options_.collective_timeout_millis;
-  DataParallelContext ctx(collective_options, options_.grad_shards,
+  CYQR_RETURN_IF_ERROR(CheckShardOptions(options_));
+  const int64_t workers =
+      options_.workers > 0
+          ? options_.workers
+          : std::clamp<int64_t>(std::thread::hardware_concurrency(), 1,
+                                options_.grad_shards);
+  DataParallelContext ctx(workers, options_,
                           TotalParameterSize(model_->Parameters()));
 
   // Ranks 1..K-1 are worker threads; the calling thread is rank 0, the
@@ -658,8 +690,8 @@ Status CycleTrainer::TrainDataParallel(
   // the master's Adam update between the all-reduce and the tail barrier;
   // otherwise the master is only mutated while every worker is parked.
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(options_.workers - 1));
-  for (int64_t r = 1; r < options_.workers; ++r) {
+  threads.reserve(static_cast<size_t>(workers - 1));
+  for (int64_t r = 1; r < workers; ++r) {
     threads.emplace_back([this, &ctx](int rank) {
       Rng replica_rng(options_.seed);  // State re-derived per shard.
       CycleModel replica(model_->config(), replica_rng);
@@ -689,97 +721,8 @@ Status CycleTrainer::TrainDataParallel(
 
   Status run_status;
   while (step_ < options_.max_steps) {
-    Stopwatch step_watch;
-    const double wait_before = ctx.collective.total_wait_millis();
-    const int64_t next_step = step_ + 1;
-    if (options_.fault_plan.crash_at_step == next_step) {
-      SimulateCrash();  // Drill hook: die as if SIGKILLed mid-run.
-    }
-    StepPlan plan;
-    plan.step = next_step;
-    plan.adam_step = optimizer_.step_count() + 1;
-    plan.cyclic = options_.joint && next_step > options_.warmup_steps;
-    plan.batch = SampleBatch();
-    int64_t batch_tokens = 0;
-    for (const SeqPair& p : plan.batch) {
-      batch_tokens += static_cast<int64_t>(p.src.size() + p.tgt.size());
-    }
-    // Flight event: args = (step, batch tokens). Mirrors StepOnce's
-    // step_begin so a dp crash dump tail names the in-flight step the same
-    // way the single-process dump does.
-    static const int32_t kDpStepBeginEvent =
-        FlightRecorder::Global().InternName("train.step_begin");
-    FlightRecorder::Global().Record(FlightCategory::kTrain,
-                                    kDpStepBeginEvent, next_step,
-                                    batch_tokens);
-    // Every rank reads the learning rate in its optimizer slice; the plan
-    // barrier publishes it with the plan.
-    optimizer_.set_learning_rate(schedule_.LearningRate(next_step));
-    ctx.PublishPlan(plan);
-    run_status = TimedBarrier(ctx.collective, next_step);  // Plan barrier.
-    if (!run_status.ok()) break;
-    run_status = ComputeOwnedShards(0, plan, *model_, options_, ctx);
-    if (!run_status.ok()) break;
-    // Compute barrier.
-    run_status = TimedBarrier(ctx.collective, next_step);
-    if (!run_status.ok()) break;
-    Stopwatch allreduce_watch;
-    run_status = ctx.collective.AllReduceSum(0, &ctx.slots);
-    if (!run_status.ok()) break;
-    const double allreduce_millis = allreduce_watch.ElapsedMillis();
-
-    // Every rank judges the step from slot 0 itself, so the verdict needs
-    // no barrier, and steps its slice of the master parameters. After the
-    // tail barrier the coordinator owns everything up to the next plan
-    // barrier: the traces, evaluation, and checkpointing all happen while
-    // the workers are parked, so no collective can be torn by a mid-step
-    // checkpoint and rank 0 is the only writer of curve/grad-norm state.
-    Stopwatch optimizer_watch;
-    const StepVerdict verdict =
-        StepOptimizerSlice(0, plan, options_, ctx, optimizer_);
-    run_status = TimedBarrier(ctx.collective, next_step);  // Tail barrier.
-    if (!run_status.ok()) break;
-    const double optimizer_millis = optimizer_watch.ElapsedMillis();
-    ++step_;
-    const double loss_value = verdict.loss;
-    const double grad_norm = verdict.grad_norm;
-    const bool anomaly = verdict.anomaly;
-    grad_norms_.push_back(grad_norm);
-    if (anomaly) {
-      ++consecutive_anomalies_;
-      ++skipped_batches_;
-      // Flight event: args = (step, anomaly streak length).
-      static const int32_t kDpAnomalyEvent =
-          FlightRecorder::Global().InternName("train.anomaly");
-      FlightRecorder::Global().Record(FlightCategory::kTrain,
-                                      kDpAnomalyEvent, step_,
-                                      consecutive_anomalies_);
-    } else {
-      consecutive_anomalies_ = 0;
-      optimizer_.set_step_count(plan.adam_step);
-    }
-    if (obs_ != nullptr) {
-      const double step_seconds = step_watch.ElapsedSeconds();
-      obs_->steps->Increment();
-      obs_->step_time->Observe(step_seconds * 1e3);
-      if (step_seconds > 0) {
-        obs_->tokens_per_sec->Set(batch_tokens / step_seconds);
-      }
-      if (std::isfinite(loss_value)) obs_->loss->Set(loss_value);
-      if (std::isfinite(grad_norm)) obs_->grad_norm->Set(grad_norm);
-      if (anomaly) obs_->skipped_batches->Increment();
-      obs_->collective_wait->Observe(ctx.collective.total_wait_millis() -
-                                     wait_before);
-      obs_->allreduce->Observe(allreduce_millis);
-      obs_->optimizer->Observe(optimizer_millis);
-    }
-    // Flight event: args = (step, step time in micros).
-    static const int32_t kDpStepEndEvent =
-        FlightRecorder::Global().InternName("train.step_end");
-    FlightRecorder::Global().Record(
-        FlightCategory::kTrain, kDpStepEndEvent, step_,
-        static_cast<int64_t>(step_watch.ElapsedMicros()));
-    run_status = PostStep(eval_pairs);
+    const Result<double> stepped = RunStep(ctx);
+    run_status = stepped.ok() ? PostStep(eval_pairs) : stepped.status();
     if (!run_status.ok()) break;
   }
 

@@ -79,14 +79,14 @@ struct CycleTrainerOptions {
   TrainFaultPlan fault_plan;
 
   // --- Data-parallel training ------------------------------------------
-  // Number of worker threads K (ranks). 0 keeps the legacy in-thread loop
-  // bit-for-bit. K >= 1 runs the synchronous data-parallel engine
-  // (DESIGN.md "Data-parallel training"): the calling thread is rank 0
-  // (the coordinator, which owns evaluation and every checkpoint write),
-  // ranks 1..K-1 compute on replica models, and every rank applies its
-  // slice of the optimizer update. The
-  // parameter trajectory depends on `grad_shards`, never on K — K=1 and
-  // K=4 produce bit-identical parameters.
+  // Number of ranks K of the synchronous data-parallel engine (DESIGN.md
+  // "Data-parallel training"); 0 picks one rank per host core, at most
+  // `grad_shards`. The calling thread is rank 0 (the coordinator, which
+  // owns evaluation and every checkpoint write), ranks 1..K-1 are worker
+  // threads computing on replica models, and every rank applies its slice
+  // of the optimizer update. The parameter trajectory depends on
+  // `grad_shards`, never on K — K=1 and K=4 produce bit-identical
+  // parameters.
   int64_t workers = 0;
   // Number of gradient shards S: each step's batch splits into S equal
   // sub-batches whose gradients are reduced along a fixed slot tree.
@@ -104,6 +104,8 @@ struct CycleTrainerOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
+class DataParallelContext;  // The engine's shared per-run state.
+
 /// Algorithm 1: cyclic-consistent training. Warmup phase maximizes the two
 /// independent likelihoods L_f + L_b; after G steps each batch additionally
 /// samples k synthetic titles per query with the top-n decoder and adds
@@ -115,25 +117,29 @@ class CycleTrainer {
   /// temporaries are safe to pass.
   CycleTrainer(CycleModel* model, std::vector<SeqPair> train_pairs,
                const CycleTrainerOptions& options);
+  ~CycleTrainer();
 
-  /// Runs the full schedule (or the remainder after Resume); records the
-  /// metric curve on `eval_pairs` every options.eval_every steps, writes
-  /// checkpoints per options.checkpoint_every, and applies the anomaly
-  /// guardrails. Fails if checkpointing is misconfigured, a checkpoint
-  /// cannot be written, or the rollback budget is exhausted.
+  /// Runs the full schedule (or the remainder after Resume) on the
+  /// data-parallel engine; records the metric curve on `eval_pairs` every
+  /// options.eval_every steps, writes checkpoints per
+  /// options.checkpoint_every, and applies the anomaly guardrails. Fails
+  /// if the sharding or checkpointing is misconfigured, a rank is lost, a
+  /// checkpoint cannot be written, or the rollback budget is exhausted.
   [[nodiscard]] Status Train(const std::vector<SeqPair>& eval_pairs);
 
-  /// Executes a single optimization step; returns the batch loss.
+  /// Runs the engine's step once on one rank and returns the batch loss.
+  /// It is the step Train() runs, so StepOnce() calls and Train() continue
+  /// one trajectory; no evaluation, checkpoint or rollback runs here.
   /// Anomalous batches (see CycleTrainerOptions) are skipped: gradients
-  /// are computed and recorded but the optimizer is not stepped.
-  /// Exposed for tests.
+  /// are computed and recorded but the optimizer is not stepped. Dies on
+  /// options Train() would reject. Exposed for tests and step timing.
   double StepOnce();
 
-  /// Restores parameters, optimizer state, both RNG streams, the step
-  /// counter, and the metric/grad-norm traces from a checkpoint written by
-  /// a trainer with identical configuration. After Resume, Train()
-  /// replays the remaining steps bit-identically to a run that was never
-  /// interrupted.
+  /// Restores parameters, optimizer state, the batch-sampling RNG, the
+  /// step counter, and the metric/grad-norm traces from a checkpoint
+  /// written by a trainer with identical configuration. After Resume,
+  /// Train() replays the remaining steps bit-identically to a run that was
+  /// never interrupted, at any worker count.
   [[nodiscard]] Status Resume(const std::string& path);
 
   /// Resume from the newest checkpoint in options.checkpoint_dir;
@@ -154,8 +160,8 @@ class CycleTrainer {
   int64_t consecutive_anomalies() const { return consecutive_anomalies_; }
   int64_t rollbacks() const { return rollbacks_; }
   /// Total milliseconds all ranks spent blocked in the collective during
-  /// the last data-parallel Train() (0 in legacy mode) — the scaling
-  /// bench's synchronization-overhead signal.
+  /// the last Train() — the scaling bench's synchronization-overhead
+  /// signal.
   double collective_wait_millis() const { return collective_wait_millis_; }
 
   /// Evaluates the Figure 7 metrics at the current parameters.
@@ -183,12 +189,13 @@ class CycleTrainer {
 
   std::vector<SeqPair> SampleBatch();
   void InitInstruments(MetricsRegistry* metrics);
-  /// The per-step bookkeeping both training loops share: curve sampling,
-  /// scheduled checkpointing, and the anomaly-streak rollback.
+  /// Rank 0's half of one engine step: samples and publishes the plan,
+  /// computes its shards, all-reduces, applies its optimizer slice, and
+  /// books the step. Returns the mean shard loss.
+  [[nodiscard]] Result<double> RunStep(DataParallelContext& ctx);
+  /// What Train() does between steps: curve sampling, scheduled
+  /// checkpointing, and the anomaly-streak rollback.
   [[nodiscard]] Status PostStep(const std::vector<SeqPair>& eval_pairs);
-  /// The synchronous K-worker engine behind Train() when workers >= 1.
-  [[nodiscard]] Status TrainDataParallel(
-      const std::vector<SeqPair>& eval_pairs);
 
   CycleModel* model_;
   std::vector<SeqPair> train_;
@@ -208,6 +215,8 @@ class CycleTrainer {
   std::string last_good_checkpoint_;
   double collective_wait_millis_ = 0.0;
   std::unique_ptr<Instruments> obs_;  // Null when telemetry is disabled.
+  // StepOnce()'s one-rank context, built on its first call.
+  std::unique_ptr<DataParallelContext> step_ctx_;
 };
 
 /// Plain supervised seq2seq training (used for the direct query-to-query

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baseline/rule_based.h"
 #include "core/string_util.h"
@@ -140,6 +144,51 @@ TEST_F(PipelineTest, ServingTiersAgreeOnHeadQueries) {
     ASSERT_NE(cached, nullptr);
     EXPECT_EQ(response.rewrites.size(),
               std::min<size_t>(cached->size(), 3));
+  }
+}
+
+/// One line per query: "<query> => <rewrite> @ <log P> | ...".
+std::string RenderRewrites(const std::vector<std::string>& query,
+                           const CycleRewriter::Result& result) {
+  std::string line = JoinStrings(query) + " =>";
+  for (size_t i = 0; i < result.rewrites.size(); ++i) {
+    const RewriteCandidate& c = result.rewrites[i];
+    char log_prob[32];
+    std::snprintf(log_prob, sizeof(log_prob), "%.6f", c.log_prob);
+    line += (i == 0 ? " " : " | ") + JoinStrings(c.tokens) + " @ " + log_prob;
+  }
+  return line;
+}
+
+TEST_F(PipelineTest, TrainedRewritesMatchGolden) {
+  // Tables III/IV at smoke scale: the trained model's rewrites of the
+  // first 12 colloquial queries, pinned in
+  // tests/integration/trained_rewrites_golden.txt. Any change to the
+  // training or inference bits moves them; on a mismatch the rendering is
+  // written to trained_rewrites_golden.actual.txt in the working
+  // directory, to review and copy over the golden file after a deliberate
+  // change.
+  CycleRewriter rewriter(world_->model.get(), &world_->vocab);
+  std::vector<std::string> got;
+  for (const QuerySpec& q : world_->log.queries()) {
+    if (!q.is_colloquial) continue;
+    got.push_back(RenderRewrites(q.tokens, rewriter.Rewrite(q.tokens, {})));
+    if (got.size() == 12) break;
+  }
+  ASSERT_EQ(got.size(), 12u);
+
+  std::vector<std::string> want;
+  std::ifstream golden(CYQR_TRAINED_REWRITES_GOLDEN);
+  ASSERT_TRUE(golden.is_open())
+      << "cannot open " << CYQR_TRAINED_REWRITES_GOLDEN;
+  for (std::string line; std::getline(golden, line);) want.push_back(line);
+  EXPECT_EQ(got, want);
+  if (got != want) {
+    std::ofstream actual("trained_rewrites_golden.actual.txt");
+    for (const std::string& line : got) actual << line << "\n";
+    actual.close();
+    EXPECT_TRUE(actual.good())
+        << "cannot write trained_rewrites_golden.actual.txt";
   }
 }
 

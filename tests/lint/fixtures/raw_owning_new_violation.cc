@@ -1,4 +1,4 @@
-// Fixture: raw owning allocation outside the allowlist.
+// Fixture: raw owning allocation with no NOLINT(cyqr-raw-owning-new).
 #include "raw_owning_new_violation.h"
 
 struct Widget {

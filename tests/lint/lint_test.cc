@@ -77,6 +77,13 @@ TEST(LintTest, RawOwningNewViolations) {
   const auto diags =
       RunRule("raw-owning-new", "raw_owning_new_violation.cc");
   EXPECT_EQ(Lines(diags), std::vector<int>({9, 13}));
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].message,
+            "raw owning 'new'; use std::make_unique/std::make_shared or a "
+            "container, or mark a deliberate one "
+            "NOLINT(cyqr-raw-owning-new)");
+  EXPECT_EQ(diags[1].message.rfind("raw owning 'delete';", 0), 0u)
+      << diags[1].message;
 }
 
 TEST(LintTest, RawOwningNewClean) {

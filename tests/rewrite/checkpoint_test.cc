@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/checksum.h"
 #include "core/file_util.h"
 
 namespace cyqr {
@@ -78,6 +81,7 @@ SteppedTrainer MakeSteppedTrainer(int steps) {
   options.max_steps = 100;
   options.warmup_steps = 100;
   options.batch_size = 2;
+  options.grad_shards = 1;
   options.eval_every = 0;
   st.trainer =
       std::make_unique<CycleTrainer>(st.model.get(), st.world.pairs, options);
@@ -89,7 +93,6 @@ TrainerCheckpoint SnapshotOf(const SteppedTrainer& st) {
   TrainerCheckpoint ckpt;
   ckpt.step = st.trainer->step();
   ckpt.trainer_rng = RngState{};
-  ckpt.model_rng = RngState{};
   ckpt.skipped_batches = st.trainer->skipped_batches();
   ckpt.grad_norms = st.trainer->grad_norms();
   ckpt.curve = st.trainer->curve();
@@ -103,8 +106,8 @@ TEST(TrainerCheckpointTest, SaveLoadRoundTrip) {
 
   TrainerCheckpoint ckpt = SnapshotOf(st);
   ckpt.trainer_rng.s[0] = 0xDEADBEEF;
-  ckpt.model_rng.has_cached_gaussian = true;
-  ckpt.model_rng.cached_gaussian = 0.25;
+  ckpt.trainer_rng.has_cached_gaussian = true;
+  ckpt.trainer_rng.cached_gaussian = 0.25;
   ckpt.consecutive_anomalies = 1;
   ASSERT_TRUE(
       SaveTrainerCheckpoint(st.model->Parameters(), ckpt, path).ok());
@@ -117,8 +120,8 @@ TEST(TrainerCheckpointTest, SaveLoadRoundTrip) {
       LoadTrainerCheckpoint(other.Parameters(), &restored, path).ok());
   EXPECT_EQ(restored.step, 5);
   EXPECT_EQ(restored.trainer_rng.s[0], 0xDEADBEEFu);
-  EXPECT_TRUE(restored.model_rng.has_cached_gaussian);
-  EXPECT_EQ(restored.model_rng.cached_gaussian, 0.25);
+  EXPECT_TRUE(restored.trainer_rng.has_cached_gaussian);
+  EXPECT_EQ(restored.trainer_rng.cached_gaussian, 0.25);
   EXPECT_EQ(restored.consecutive_anomalies, 1);
   EXPECT_EQ(restored.grad_norms, ckpt.grad_norms);
   const std::vector<Tensor> a = st.model->Parameters();
@@ -166,6 +169,54 @@ TEST(TrainerCheckpointTest, CorruptByteFailsAndLeavesModelUntouched) {
   // All-or-nothing: neither the state struct nor the tensors changed.
   EXPECT_EQ(restored.step, 42);
   EXPECT_EQ(other.Parameters()[0].data()[0], before);
+}
+
+std::vector<float> FlattenParams(const CycleModel& model) {
+  std::vector<float> flat;
+  for (const Tensor& p : model.Parameters()) {
+    flat.insert(flat.end(), p.data(), p.data() + p.NumElements());
+  }
+  return flat;
+}
+
+TEST(TrainerCheckpointTest, VersionOneFileIsRejectedAndLeavesModelUntouched) {
+  SteppedTrainer st = MakeSteppedTrainer(2);
+  const std::string dir = FreshDir("ckpt_version1");
+  const std::string path = dir + "/" + CheckpointFileName(2);
+  ASSERT_TRUE(
+      SaveTrainerCheckpoint(st.model->Parameters(), SnapshotOf(st), path)
+          .ok());
+  Result<std::string> content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  std::string bytes = content.value();
+  // The payload opens with the uint32 magic and version; the footer ends
+  // the file with its magic, the payload length and the payload's FNV-1a
+  // checksum. Relabel the file version 1 under a valid checksum, so only
+  // the version check can refuse it.
+  constexpr size_t kFooterBytes = sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(uint32_t), sizeof(version));
+  ASSERT_EQ(version, 2u);
+  version = 1;
+  std::memcpy(bytes.data() + sizeof(uint32_t), &version, sizeof(version));
+  const uint64_t checksum = Fnv1a64(
+      std::string_view(bytes).substr(0, bytes.size() - kFooterBytes));
+  std::memcpy(bytes.data() + bytes.size() - sizeof(checksum), &checksum,
+              sizeof(checksum));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+  Rng rng2(99);
+  CycleModel other(TinyConfig(st.world.vocab.size()), rng2);
+  const std::vector<float> before = FlattenParams(other);
+  TrainerCheckpoint restored;
+  restored.step = 42;
+  const Status status =
+      LoadTrainerCheckpoint(other.Parameters(), &restored, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("version 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(restored.step, 42);
+  EXPECT_EQ(FlattenParams(other), before);
 }
 
 TEST(TrainerCheckpointTest, EveryTruncationFails) {

@@ -66,6 +66,7 @@ CycleTrainerOptions DrillOptions() {
   options.max_steps = 24;
   options.warmup_steps = 18;
   options.batch_size = 2;
+  options.grad_shards = 1;
   options.eval_every = 12;
   options.eval_queries = 3;
   return options;

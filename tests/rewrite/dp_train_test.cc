@@ -160,6 +160,26 @@ TEST(DpTrainTest, PaperScaledRunMatchesGoldenDigest) {
   }
 }
 
+TEST(DpTrainTest, StepOnceThenTrainMatchesTrainAlone) {
+  // StepOnce() runs Train()'s step on one rank, so ten steps taken one at
+  // a time, across the warm-up boundary, leave Train() at K=4 exactly the
+  // state it would have reached by itself.
+  const TinyWorld world = MakeTinyWorld();
+  CycleTrainerOptions options = DpOptions(4);
+  options.eval_every = 0;
+  TrainRun reference = MakeRun(world, options);
+  ASSERT_TRUE(reference.trainer->Train({}).ok());
+
+  TrainRun stepped = MakeRun(world, options);
+  ASSERT_LT(options.warmup_steps, 10);
+  for (int i = 0; i < 10; ++i) stepped.trainer->StepOnce();
+  ASSERT_EQ(stepped.trainer->step(), 10);
+  ASSERT_TRUE(stepped.trainer->Train({}).ok());
+  EXPECT_EQ(stepped.trainer->step(), options.max_steps);
+  EXPECT_EQ(FlattenParams(*stepped.model), FlattenParams(*reference.model));
+  EXPECT_EQ(stepped.trainer->grad_norms(), reference.trainer->grad_norms());
+}
+
 TEST(DpTrainTest, ResumeWithDifferentWorkerCountIsBitIdentical) {
   const TinyWorld world = MakeTinyWorld();
 

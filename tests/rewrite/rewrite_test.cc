@@ -104,6 +104,7 @@ TEST(CycleTrainerTest, WarmupLossDecreases) {
   options.max_steps = 80;
   options.warmup_steps = 80;
   options.batch_size = 3;
+  options.grad_shards = 1;
   options.eval_every = 0;
   CycleTrainer trainer(&model, world.pairs, options);
   double first = 0.0;
@@ -125,6 +126,7 @@ TEST(CycleTrainerTest, CyclicPhaseRunsAndStaysFinite) {
   options.max_steps = 70;
   options.warmup_steps = 50;
   options.batch_size = 3;
+  options.grad_shards = 1;
   options.eval_every = 0;
   CycleTrainer trainer(&model, world.pairs, options);
   ASSERT_TRUE(trainer.Train({}).ok());
@@ -217,6 +219,7 @@ TEST(CycleTrainerTest, CurveIsRecordedAtEvalInterval) {
   options.max_steps = 40;
   options.warmup_steps = 40;
   options.batch_size = 3;
+  options.grad_shards = 1;
   options.eval_every = 20;
   options.eval_queries = 2;
   CycleTrainer trainer(&model, world.pairs, options);
@@ -258,6 +261,7 @@ class TrainedCycleTest : public ::testing::Test {
     options.max_steps = 220;
     options.warmup_steps = 160;
     options.batch_size = 3;
+    options.grad_shards = 1;
     options.eval_every = 0;
     CycleTrainer trainer(model_.get(), world_->pairs, options);
     ASSERT_TRUE(trainer.Train({}).ok());

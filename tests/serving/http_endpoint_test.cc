@@ -207,6 +207,41 @@ TEST(HttpEndpointTest, IdleClientsDoNotBlockScrapes) {
   endpoint.Stop();
 }
 
+TEST(HttpEndpointTest, FullQueueShedsWith503ThenRecovers) {
+  // One pool thread and one queue slot: an idle client holds the thread,
+  // a second fills the queue, so the accept thread must shed the next
+  // connection with a 503 instead of queueing it.
+  HttpEndpoint::Options options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.queue_capacity = 1;
+  HttpEndpoint endpoint(options);
+  endpoint.AddRoute("/metrics", [](const std::string&) {
+    return IntrospectPage{200, "text/plain", "ok"};
+  });
+  ASSERT_TRUE(endpoint.Start().ok());
+  const int holder = Connect(endpoint.port());
+  ASSERT_GE(holder, 0);
+  ASSERT_TRUE(WaitForConnections(endpoint, 1));
+  const int queued = Connect(endpoint.port());
+  ASSERT_GE(queued, 0);
+
+  const std::string shed =
+      HttpGet(endpoint.port(), "/metrics", /*timeout_seconds=*/3);
+  EXPECT_EQ(StatusLine(shed), "HTTP/1.1 503 Service Unavailable");
+  EXPECT_NE(Body(shed).find("overloaded"), std::string::npos) << shed;
+
+  // Closing both clients frees the thread and the slot; once the queued
+  // one was picked up, a scrape is answered again.
+  ::close(holder);
+  ::close(queued);
+  ASSERT_TRUE(WaitForConnections(endpoint, 2));
+  EXPECT_EQ(StatusLine(HttpGet(endpoint.port(), "/metrics",
+                               /*timeout_seconds=*/3)),
+            "HTTP/1.1 200 OK");
+  endpoint.Stop();
+}
+
 /// Connects and sends a never-ending request head one byte every 900 ms,
 /// just inside the endpoint's receive timeout, until the endpoint closes
 /// the connection. Returns how long the connection lived, or -1 s if it

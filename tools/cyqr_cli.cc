@@ -5,13 +5,17 @@
 //
 //   cyqr train --data pairs.tsv --out MODEL_DIR
 //              [--steps N] [--warmup N] [--layers N] [--separate]
+//              [--batch B] [--workers K] [--grad-shards S]
 //              [--checkpoint-every N] [--checkpoint-dir DIR]
 //              [--checkpoint-keep K] [--resume]
 //              [--crash-at-step N] [--nan-at-step N]
 //              [--introspect-port P] [--introspect-hold-ms MS]
 //              [--flight-out flight.json]
 //       Builds a vocabulary, trains the cycle model (Algorithm 1), and
-//       stores config + vocabulary + parameters in MODEL_DIR. With
+//       stores config + vocabulary + parameters in MODEL_DIR. Training
+//       runs on K data-parallel threads (--workers 0, the default: one
+//       per host core, at most S) over S gradient shards; B must be
+//       divisible by S, and the bits depend on S only. With
 //       --checkpoint-every the run is crash-safe: atomic checksummed
 //       checkpoints rotate in --checkpoint-dir (default
 //       MODEL_DIR/checkpoints) and --resume continues bit-identically
@@ -230,7 +234,8 @@ int Train(const FlagParser& flags) {
                  "train flags: --data pairs.tsv --out MODEL_DIR "
                  "[--steps N] [--warmup N] [--layers N] [--batch N] "
                  "[--lambda F] [--separate] [--seed S] "
-                 "[--workers K] [--grad-shards S] "
+                 "[--workers K (0: one per core, at most S)] "
+                 "[--grad-shards S (must divide --batch)] "
                  "[--collective-timeout-ms MS] "
                  "[--eval-every N] [--curve-out curve.tsv] "
                  "[--checkpoint-every N] [--checkpoint-dir DIR] "
@@ -283,7 +288,8 @@ int Train(const FlagParser& flags) {
   options.joint = !flags.GetBool("separate", false);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1234));
   options.eval_every = flags.GetInt("eval-every", 0);
-  // Data-parallel engine: K worker threads over S gradient shards.
+  // Data-parallel engine: K worker threads over S gradient shards; K = 0
+  // picks one per host core, at most S.
   options.workers = flags.GetInt("workers", 0);
   options.grad_shards = flags.GetInt("grad-shards", 4);
   options.collective_timeout_millis =

@@ -25,8 +25,9 @@ class RawOwningNewRule : public Rule {
       d.line = toks[i].line;
       d.rule = name();
       d.message = std::string("raw owning '") + toks[i].text +
-                  "' outside the allowlist; use std::make_unique/"
-                  "std::make_shared or a container";
+                  "'; use std::make_unique/std::make_shared or a "
+                  "container, or mark a deliberate one "
+                  "NOLINT(cyqr-raw-owning-new)";
       out->push_back(std::move(d));
     }
   }
