@@ -148,6 +148,14 @@ int32_t SampleFromPool(const std::vector<float>& lp, const Policy& policy) {
   return static_cast<int32_t>(pool[policy.rng->SampleCategorical(weights)]);
 }
 
+/// Decodes that stopped because their deadline expired, whatever the
+/// decoder. Resolved once, as TopNInstruments is.
+Counter* DeadlineTruncations() {
+  static Counter* const counter = MetricsRegistry::Global().GetCounter(
+      "cyqr_decode_deadline_truncated_total");
+  return counter;
+}
+
 std::vector<DecodedSequence> Decode(const Seq2SeqModel& model,
                                     const std::vector<int32_t>& src_ids,
                                     const DecodeOptions& options,
@@ -172,7 +180,10 @@ std::vector<DecodedSequence> Decode(const Seq2SeqModel& model,
   for (; t < options.max_len && !live.empty(); ++t) {
     // Budget check once per step: an expired deadline stops expansion and
     // falls through to ranking whatever has been decoded so far.
-    if (options.deadline != nullptr && options.deadline->Expired()) break;
+    if (options.deadline != nullptr && options.deadline->Expired()) {
+      DeadlineTruncations()->Increment();
+      break;
+    }
     // Stop early once k hypotheses have finished and no live hypothesis
     // can beat the worst finished score (scores only decrease).
     if (finished.size() >= k) {

@@ -160,11 +160,13 @@ struct StepPlan {
 class DataParallelContext {
  public:
   DataParallelContext(int64_t world_size, const CycleTrainerOptions& options,
-                      int64_t slot_size)
-      : collective({static_cast<int>(world_size),
+                      std::vector<Tensor> master)
+      : master_params(std::move(master)),
+        collective({static_cast<int>(world_size),
                     options.collective_timeout_millis}),
         slots(static_cast<size_t>(options.grad_shards),
-              std::vector<float>(static_cast<size_t>(slot_size))),
+              std::vector<float>(
+                  static_cast<size_t>(TotalParameterSize(master_params)))),
         shard_losses(static_cast<size_t>(options.grad_shards), 0.0) {}
 
   void PublishPlan(StepPlan next) {
@@ -177,6 +179,9 @@ class DataParallelContext {
     return plan_;
   }
 
+  // The master model's parameters, listed once per run: rank 0 computes
+  // on them and every worker copies them into its replica.
+  const std::vector<Tensor> master_params;
   Collective collective;
   std::vector<std::vector<float>> slots;
   std::vector<double> shard_losses;
@@ -190,15 +195,16 @@ namespace {
 
 /// Computes every gradient shard owned by `rank` (shard j is owned by rank
 /// j % K) into ctx.slots / ctx.shard_losses, then runs the per-rank fault
-/// hooks. Each shard draws its decode and dropout randomness from streams
-/// derived purely from (seed, step, shard), so the shard's bits do not
-/// depend on which rank — or how many ranks — computed it.
+/// hooks. `params` is `model.Parameters()`, listed once per run. Each
+/// shard draws its decode and dropout randomness from streams derived
+/// purely from (seed, step, shard), so the shard's bits do not depend on
+/// which rank — or how many ranks — computed it.
 Status ComputeOwnedShards(int rank, const StepPlan& plan, CycleModel& model,
+                          const std::vector<Tensor>& params,
                           const CycleTrainerOptions& options,
                           DataParallelContext& ctx) {
   const int64_t num_shards = static_cast<int64_t>(ctx.slots.size());
   const int64_t per_shard = options.batch_size / num_shards;
-  const std::vector<Tensor> params = model.Parameters();
   for (int64_t j = rank; j < num_shards;
        j += ctx.collective.world_size()) {
     // Flight event: args = (step, shard index). The dp crash drill kills a
@@ -411,7 +417,8 @@ Result<double> CycleTrainer::RunStep(DataParallelContext& ctx) {
   ctx.PublishPlan(plan);
   // Plan barrier.
   CYQR_RETURN_IF_ERROR(TimedBarrier(ctx.collective, next_step));
-  CYQR_RETURN_IF_ERROR(ComputeOwnedShards(0, plan, *model_, options_, ctx));
+  CYQR_RETURN_IF_ERROR(ComputeOwnedShards(0, plan, *model_,
+                                          ctx.master_params, options_, ctx));
   // Compute barrier.
   CYQR_RETURN_IF_ERROR(TimedBarrier(ctx.collective, next_step));
   Stopwatch allreduce_watch;
@@ -476,8 +483,8 @@ double CycleTrainer::StepOnce() {
   if (step_ctx_ == nullptr) {
     const Status valid = CheckShardOptions(options_);
     CYQR_CHECK_MSG(valid.ok(), valid.ToString().c_str());
-    step_ctx_ = std::make_unique<DataParallelContext>(
-        1, options_, TotalParameterSize(model_->Parameters()));
+    step_ctx_ = std::make_unique<DataParallelContext>(1, options_,
+                                                      model_->Parameters());
   }
   const Result<double> loss = RunStep(*step_ctx_);
   CYQR_CHECK_MSG(loss.ok(), loss.status().ToString().c_str());
@@ -681,8 +688,7 @@ Status CycleTrainer::Train(const std::vector<SeqPair>& eval_pairs) {
           ? options_.workers
           : std::clamp<int64_t>(std::thread::hardware_concurrency(), 1,
                                 options_.grad_shards);
-  DataParallelContext ctx(workers, options_,
-                          TotalParameterSize(model_->Parameters()));
+  DataParallelContext ctx(workers, options_, model_->Parameters());
 
   // Ranks 1..K-1 are worker threads; the calling thread is rank 0, the
   // coordinator. Workers hold a private replica model and copy the master
@@ -696,7 +702,6 @@ Status CycleTrainer::Train(const std::vector<SeqPair>& eval_pairs) {
       Rng replica_rng(options_.seed);  // State re-derived per shard.
       CycleModel replica(model_->config(), replica_rng);
       replica.SetTraining(true);
-      const std::vector<Tensor> master_params = model_->Parameters();
       const std::vector<Tensor> replica_params = replica.Parameters();
       int64_t last_step = 0;  // Step label for the next plan-barrier wait.
       for (;;) {
@@ -705,10 +710,10 @@ Status CycleTrainer::Train(const std::vector<SeqPair>& eval_pairs) {
         const StepPlan plan = ctx.SnapshotPlan();
         if (plan.stop) return;
         last_step = plan.step;
-        CopyParameters(replica_params, master_params);
-        if (!ComputeOwnedShards(rank, plan, replica, options_, ctx).ok()) {
-          return;
-        }
+        CopyParameters(replica_params, ctx.master_params);
+        const Status computed = ComputeOwnedShards(
+            rank, plan, replica, replica_params, options_, ctx);
+        if (!computed.ok()) return;
         // Compute barrier.
         if (!TimedBarrier(ctx.collective, plan.step).ok()) return;
         if (!ctx.collective.AllReduceSum(rank, &ctx.slots).ok()) return;

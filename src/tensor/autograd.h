@@ -18,6 +18,15 @@ namespace cyqr {
 /// handles nor touches their refcounts.
 using OpInputList = std::initializer_list<std::reference_wrapper<const Tensor>>;
 
+/// The values an op's backward reads besides the upstream gradient: those
+/// of some of its inputs, and its own output's. Each op declares them next
+/// to its closure. An op output on the tape that nothing declared keeps
+/// its values only while a handle holds it (see TensorImpl).
+struct BackwardReads {
+  uint32_t inputs = 0;  // Bit i: the values of input i.
+  bool output = false;
+};
+
 namespace autograd_internal {
 
 /// Wraps an op's output values in a fresh tensor and counts the op.
@@ -51,15 +60,30 @@ bool AnyInputNeedsGrad(const Inputs& inputs) {
 
 template <typename Inputs, typename Backward>
 Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
-                    const Inputs& inputs, Backward&& backward,
-                    const char* name) {
+                    const Inputs& inputs, BackwardReads reads,
+                    Backward&& backward, const char* name) {
   Tensor out = OpOutput(shape, std::move(data));
   if (AnyInputNeedsGrad(inputs)) {
     auto node = std::make_shared<OpNode<std::decay_t<Backward>>>(
         std::forward<Backward>(backward), name);
     node->SetInputs(inputs);
-    out.impl()->node = std::move(node);
-    out.impl()->requires_grad = true;
+    uint32_t bit = 1;
+    for (const Tensor& t : inputs) {
+      // Only an op output counts its handles, so only one can lose its
+      // values; leaves, which threads share, are never written here.
+      if ((reads.inputs & bit) != 0 && t.impl()->counts_handles) {
+        t.impl()->values_read = true;
+      }
+      bit <<= 1;
+    }
+    TensorImpl& o = *out.impl();
+    o.node = std::move(node);
+    o.requires_grad = true;
+    o.values_read = reads.output;
+    o.counts_handles = true;
+    // ordering: relaxed — `out` is the only handle and no other thread can
+    // reach the impl yet.
+    o.handles.store(1, std::memory_order_relaxed);
   }
   return out;
 }
@@ -75,7 +99,9 @@ inline bool OpRecords(OpInputList inputs) {
 
 /// Builds an op output tensor and, when OpRecords(inputs), records a tape
 /// node whose `backward` accumulates into the inputs. The backward closure
-/// receives the *output* impl (its .grad is the upstream gradient).
+/// receives the *output* impl (its .grad is the upstream gradient) and may
+/// read only the values `reads` names: the output's own, and those of the
+/// inputs whose bits are set.
 ///
 /// Nothing that only backward needs is built unless the op records: the
 /// closure stays the caller's object (never copied or moved) and no
@@ -84,9 +110,10 @@ inline bool OpRecords(OpInputList inputs) {
 /// holds its inputs and its closure.
 template <typename Backward>
 Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
-                    OpInputList inputs, Backward&& backward,
-                    const char* name) {
+                    OpInputList inputs, BackwardReads reads,
+                    Backward&& backward, const char* name) {
   return autograd_internal::MakeOpResult(shape, std::move(data), inputs,
+                                         reads,
                                          std::forward<Backward>(backward),
                                          name);
 }
@@ -94,9 +121,10 @@ Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
 /// The same over a run of inputs held elsewhere (e.g. StackRows' steps).
 template <typename Backward>
 Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
-                    std::span<const Tensor> inputs, Backward&& backward,
-                    const char* name) {
+                    std::span<const Tensor> inputs, BackwardReads reads,
+                    Backward&& backward, const char* name) {
   return autograd_internal::MakeOpResult(shape, std::move(data), inputs,
+                                         reads,
                                          std::forward<Backward>(backward),
                                          name);
 }

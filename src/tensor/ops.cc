@@ -18,6 +18,15 @@ namespace {
 
 std::shared_ptr<TensorImpl> Impl(const Tensor& t) { return t.impl(); }
 
+// What each op's backward reads besides the upstream gradient (see
+// BackwardReads): nothing; its own output; its first two inputs (MatMul
+// and Mul both, Affine x and W, LayerNorm x and gamma); or its one input
+// and its output (GroupLogSumExp).
+constexpr BackwardReads kReadsNothing{};
+constexpr BackwardReads kReadsOutput{.output = true};
+constexpr BackwardReads kReadsFirstTwoInputs{.inputs = 0b11};
+constexpr BackwardReads kReadsInputAndOutput{.inputs = 0b1, .output = true};
+
 /// Accumulates `delta` into the input's grad buffer (allocating if needed).
 void AccumInto(TensorImpl& in, const float* delta, size_t n) {
   in.EnsureGrad();
@@ -46,15 +55,18 @@ Shape WithLastDim(const Shape& s, int64_t d) {
   return Shape(std::span<const int64_t>(dims.data(), s.rank()));
 }
 
-/// dx[i] += dy[i] where x[i] > 0, selected through an integer mask rather
-/// than a branch: the sign of x is data, so a branch on it mispredicts
+/// dx[i] += dy[i] where y[i] > 0, selected through an integer mask rather
+/// than a branch: the sign of y is data, so a branch on it mispredicts
 /// (and GCC turns a float ?: back into one). The bits are the branch's.
-void ReluBackward(const float* __restrict x, const float* __restrict dy,
+/// y = x > 0 ? x : 0 is positive exactly where x > 0 (a NaN or -0 input
+/// gives +0), so the mask on the output is the mask on the input, and the
+/// input need not be kept.
+void ReluBackward(const float* __restrict y, const float* __restrict dy,
                   float* __restrict dx, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const uint32_t taken = std::bit_cast<uint32_t>(dx[i] + dy[i]);
     const uint32_t kept = std::bit_cast<uint32_t>(dx[i]);
-    const uint32_t mask = 0u - static_cast<uint32_t>(x[i] > 0.0f);
+    const uint32_t mask = 0u - static_cast<uint32_t>(y[i] > 0.0f);
     dx[i] = std::bit_cast<float>((taken & mask) | (kept & ~mask));
   }
 }
@@ -82,7 +94,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   auto ia = Impl(a);
   auto ib = Impl(b);
   return MakeOpResult(
-      a.shape(), std::move(out), {a, b},
+      a.shape(), std::move(out), {a, b}, kReadsNothing,
       [ia, ib, n, d, bias_broadcast](TensorImpl& o) {
         if (ia->requires_grad || ia->node) {
           AccumInto(*ia, o.grad.data(), o.grad.size());
@@ -111,7 +123,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   auto ia = Impl(a);
   auto ib = Impl(b);
   return MakeOpResult(
-      a.shape(), std::move(out), {a, b},
+      a.shape(), std::move(out), {a, b}, kReadsNothing,
       [ia, ib, n](TensorImpl& o) {
         if (ia->requires_grad || ia->node) {
           AccumInto(*ia, o.grad.data(), o.grad.size());
@@ -134,7 +146,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   auto ia = Impl(a);
   auto ib = Impl(b);
   return MakeOpResult(
-      a.shape(), std::move(out), {a, b},
+      a.shape(), std::move(out), {a, b}, kReadsFirstTwoInputs,
       [ia, ib, n](TensorImpl& o) {
         if (ia->requires_grad || ia->node) {
           ia->EnsureGrad();
@@ -159,7 +171,7 @@ Tensor Scale(const Tensor& a, float s) {
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] * s;
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsNothing,
       [ia, s, n](TensorImpl& o) {
         ia->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) ia->grad[i] += o.grad[i] * s;
@@ -174,7 +186,7 @@ Tensor AddScalar(const Tensor& a, float s) {
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] + s;
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsNothing,
       [ia](TensorImpl& o) { AccumInto(*ia, o.grad.data(), o.grad.size()); },
       "AddScalar");
 }
@@ -214,7 +226,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   auto ia = Impl(a);
   auto ib = Impl(b);
   return MakeOpResult(
-      out_shape, std::move(out), {a, b},
+      out_shape, std::move(out), {a, b}, kReadsFirstTwoInputs,
       [ia, ib, m, n, k, batch, a_stride, b_stride, trans_a,
        trans_b](TensorImpl& o) {
         const float* dc = o.grad.data();
@@ -273,6 +285,7 @@ Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b) {
   auto ib = Impl(b);
   return MakeOpResult(
       WithLastDim(x.shape(), n), std::move(out), {x, w, b},
+      kReadsFirstTwoInputs,
       [ix, iw, ib, m, n, k](TensorImpl& o) {
         // dY is read where the pair's MatMul read 0 + dY: the same bits,
         // because no stored gradient is -0 (see DESIGN.md).
@@ -316,7 +329,7 @@ Tensor TransposeLast2(const Tensor& x) {
                         : Shape{d.cols, d.rows};
   auto ix = Impl(x);
   return MakeOpResult(
-      out_shape, std::move(out), {x},
+      out_shape, std::move(out), {x}, kReadsNothing,
       [ix, d](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t b = 0; b < d.batch; ++b) {
@@ -339,10 +352,10 @@ Tensor Relu(const Tensor& a) {
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] > 0.0f ? pa[i] : 0.0f;
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsOutput,
       [ia, n](TensorImpl& o) {
         ia->EnsureGrad();
-        ReluBackward(ia->data.data(), o.grad.data(), ia->grad.data(), n);
+        ReluBackward(o.data.data(), o.grad.data(), ia->grad.data(), n);
       },
       "Relu");
 }
@@ -354,7 +367,7 @@ Tensor TanhOp(const Tensor& a) {
   for (int64_t i = 0; i < n; ++i) out[i] = std::tanh(pa[i]);
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsOutput,
       [ia, n](TensorImpl& o) {
         ia->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
@@ -372,7 +385,7 @@ Tensor SigmoidOp(const Tensor& a) {
   for (int64_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-pa[i]));
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsOutput,
       [ia, n](TensorImpl& o) {
         ia->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
@@ -392,7 +405,7 @@ Tensor Softmax(const Tensor& a) {
   }
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsOutput,
       [ia, rows, d](TensorImpl& o) {
         ia->EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
@@ -417,7 +430,7 @@ Tensor LogSoftmaxOp(const Tensor& a) {
   }
   auto ia = Impl(a);
   return MakeOpResult(
-      a.shape(), std::move(out), {a},
+      a.shape(), std::move(out), {a}, kReadsOutput,
       [ia, rows, d](TensorImpl& o) {
         ia->EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
@@ -475,7 +488,7 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto ig = Impl(gamma);
   auto ib = Impl(beta);
   return MakeOpResult(
-      x.shape(), std::move(out), {x, gamma, beta},
+      x.shape(), std::move(out), {x, gamma, beta}, kReadsFirstTwoInputs,
       [ix, ig, ib, stats = std::move(stats), rows, d](TensorImpl& o) {
         if (ig->requires_grad || ig->node) ig->EnsureGrad();
         if (ib->requires_grad || ib->node) ib->EnsureGrad();
@@ -537,7 +550,7 @@ Tensor DropoutOp(const Tensor& x, float p, Rng& rng, bool training) {
   }
   auto ix = Impl(x);
   return MakeOpResult(
-      x.shape(), std::move(out), {x},
+      x.shape(), std::move(out), {x}, kReadsNothing,
       [ix, keep = std::move(keep), scale, n](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
@@ -552,7 +565,7 @@ Tensor Reshape(const Tensor& x, const Shape& shape) {
   std::vector<float> out(x.data(), x.data() + x.NumElements());
   auto ix = Impl(x);
   return MakeOpResult(
-      shape, std::move(out), {x},
+      shape, std::move(out), {x}, kReadsNothing,
       [ix](TensorImpl& o) { AccumInto(*ix, o.grad.data(), o.grad.size()); },
       "Reshape");
 }
@@ -577,7 +590,7 @@ Tensor SplitHeads(const Tensor& x, int64_t num_heads) {
   }
   auto ix = Impl(x);
   return MakeOpResult(
-      Shape{b * num_heads, t, dh}, std::move(out), {x},
+      Shape{b * num_heads, t, dh}, std::move(out), {x}, kReadsNothing,
       [ix, b, t, d, dh, num_heads](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
@@ -615,7 +628,7 @@ Tensor MergeHeads(const Tensor& x, int64_t num_heads) {
   }
   auto ix = Impl(x);
   return MakeOpResult(
-      Shape{b, t, d}, std::move(out), {x},
+      Shape{b, t, d}, std::move(out), {x}, kReadsNothing,
       [ix, b, t, d, dh, num_heads](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
@@ -649,7 +662,7 @@ Tensor ConcatLastDim(const Tensor& a, const Tensor& b) {
   auto ia = Impl(a);
   auto ib = Impl(b);
   return MakeOpResult(
-      WithLastDim(a.shape(), da + db), std::move(out), {a, b},
+      WithLastDim(a.shape(), da + db), std::move(out), {a, b}, kReadsNothing,
       [ia, ib, rows, da, db](TensorImpl& o) {
         if (ia->requires_grad || ia->node) {
           ia->EnsureGrad();
@@ -683,7 +696,7 @@ Tensor SliceLastDim(const Tensor& x, int64_t begin, int64_t end) {
   }
   auto ix = Impl(x);
   return MakeOpResult(
-      WithLastDim(x.shape(), w), std::move(out), {x},
+      WithLastDim(x.shape(), w), std::move(out), {x}, kReadsNothing,
       [ix, rows, d, w, begin](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
@@ -712,7 +725,7 @@ Tensor EmbeddingGather(const Tensor& table, const std::vector<int32_t>& ids,
   std::vector<int32_t> kept_ids;
   if (OpRecords({table})) kept_ids = ids;
   return MakeOpResult(
-      Shape{batch, seq, d}, std::move(out), {table},
+      Shape{batch, seq, d}, std::move(out), {table}, kReadsNothing,
       [it, kept_ids = std::move(kept_ids), d](TensorImpl& o) {
         it->EnsureGrad();
         for (size_t i = 0; i < kept_ids.size(); ++i) {
@@ -732,7 +745,7 @@ Tensor AddMask(const Tensor& scores, const std::vector<float>& mask) {
   for (int64_t i = 0; i < n; ++i) out[i] = ps[i] + mask[i];
   auto is = Impl(scores);
   return MakeOpResult(
-      scores.shape(), std::move(out), {scores},
+      scores.shape(), std::move(out), {scores}, kReadsNothing,
       [is](TensorImpl& o) { AccumInto(*is, o.grad.data(), o.grad.size()); },
       "AddMask");
 }
@@ -789,7 +802,7 @@ Tensor MaskedCrossEntropy(const Tensor& logits,
     kept_mask = mask;
   }
   return MakeOpResult(
-      Shape{}, {loss}, {logits},
+      Shape{}, {loss}, {logits}, kReadsNothing,
       [il, probs = std::move(probs), kept_targets = std::move(kept_targets),
        kept_mask = std::move(kept_mask), b, t, v, count, eps,
        uniform](TensorImpl& o) {
@@ -846,7 +859,7 @@ Tensor SequenceLogProb(const Tensor& logits,
     kept_mask = mask;
   }
   return MakeOpResult(
-      Shape{b}, std::move(out), {logits},
+      Shape{b}, std::move(out), {logits}, kReadsNothing,
       [il, probs = std::move(probs), kept_targets = std::move(kept_targets),
        kept_mask = std::move(kept_mask), b, t, v](TensorImpl& o) {
         il->EnsureGrad();
@@ -881,7 +894,7 @@ Tensor GroupLogSumExp(const Tensor& x, int64_t group) {
   }
   auto ix = Impl(x);
   return MakeOpResult(
-      Shape{groups}, std::move(out), {x},
+      Shape{groups}, std::move(out), {x}, kReadsInputAndOutput,
       [ix, groups, group](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t g = 0; g < groups; ++g) {
@@ -918,7 +931,7 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bcast) {
   auto ia = Impl(a);
   auto ib = Impl(bcast);
   return MakeOpResult(
-      a.shape(), std::move(out), {a, bcast},
+      a.shape(), std::move(out), {a, bcast}, kReadsNothing,
       [ia, ib, b, t, d](TensorImpl& o) {
         if (ia->requires_grad || ia->node) {
           AccumInto(*ia, o.grad.data(), o.grad.size());
@@ -955,7 +968,7 @@ Tensor StackRows(const std::vector<Tensor>& steps) {
   impls.reserve(steps.size());
   for (const Tensor& s : steps) impls.push_back(s.impl());
   return MakeOpResult(
-      Shape{b, t, d}, std::move(out), steps,
+      Shape{b, t, d}, std::move(out), steps, kReadsNothing,
       [impls = std::move(impls), b, t, d](TensorImpl& o) {
         for (int64_t ti = 0; ti < t; ++ti) {
           TensorImpl& in = *impls[ti];
@@ -978,7 +991,7 @@ Tensor SumAll(const Tensor& x) {
   for (int64_t i = 0; i < n; ++i) acc += px[i];
   auto ix = Impl(x);
   return MakeOpResult(
-      Shape{}, {static_cast<float>(acc)}, {x},
+      Shape{}, {static_cast<float>(acc)}, {x}, kReadsNothing,
       [ix, n](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) ix->grad[i] += o.grad[0];

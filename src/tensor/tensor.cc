@@ -40,13 +40,31 @@ Tensor Tensor::Randn(const Shape& shape, Rng& rng, float stddev) {
 
 Tensor Tensor::Scalar(float value) { return Full(Shape{}, value); }
 
-float* Tensor::data() {
+void Tensor::ReleaseHandle() {
+  // ordering: acq_rel — as a shared_ptr's decrement: the handle that drops
+  // last sees every write made through the others before it frees.
+  if (impl_->handles.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  TensorImpl& t = *impl_;
+  if (t.node == nullptr || t.values_read) return;
+  std::vector<float>().swap(t.data);
+  t.values_freed = true;
+}
+
+void Tensor::CheckValues() const {
   CYQR_CHECK(impl_ != nullptr);
+  CYQR_CHECK_MSG(!impl_->values_freed,
+                 "read the values of an op output that were freed when its "
+                 "last handle went, as no recorded backward reads them; "
+                 "keep a handle to read them");
+}
+
+float* Tensor::data() {
+  CheckValues();
   return impl_->data.data();
 }
 
 const float* Tensor::data() const {
-  CYQR_CHECK(impl_ != nullptr);
+  CheckValues();
   return impl_->data.data();
 }
 
@@ -83,7 +101,7 @@ Tensor& Tensor::set_requires_grad(bool value) {
 }
 
 float Tensor::item() const {
-  CYQR_CHECK(impl_ != nullptr);
+  CheckValues();
   CYQR_CHECK_EQ(impl_->data.size(), 1u);
   return impl_->data[0];
 }
@@ -93,7 +111,7 @@ void Tensor::Backward() {
       "Backward() reached a tensor whose tape an earlier Backward() "
       "consumed; build a fresh graph for every walk";
   CYQR_CHECK(impl_ != nullptr);
-  CYQR_CHECK_MSG(impl_->data.size() == 1u,
+  CYQR_CHECK_MSG(impl_->shape.NumElements() == 1,
                  "Backward() requires a scalar tensor");
   CYQR_CHECK_MSG(!impl_->consumed, kConsumed);
   // Topological sort of the tape reachable from this output. A tensor is

@@ -2,6 +2,7 @@
 #define CYCLEQR_TENSOR_TENSOR_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -17,10 +18,22 @@ class GradNode;
 
 /// Shared storage + autograd metadata behind a Tensor handle.
 struct TensorImpl {
+  // An op output that records a node counts the Tensor handles that point
+  // at it, apart from the tape's own references (the node list and the
+  // closures of the ops that read it). When the last handle goes while the
+  // node is alive and no recorded backward reads the values, the values
+  // are freed; the impl stays on the tape to carry the gradient. Leaves
+  // and no-grad outputs never count, so threads may share their handles
+  // and the no-grad path pays a flag test per handle copy and drop. The
+  // flags sit first, beside the shared_ptr's own counts.
+  std::atomic<int32_t> handles{0};
+  bool counts_handles = false;  // Set once, before a second handle exists.
+  bool values_read = false;     // A recorded backward reads `data`.
+  bool values_freed = false;
+  bool requires_grad = false;
   Shape shape;
   std::vector<float> data;
-  std::vector<float> grad;  // Lazily allocated; same size as data when live.
-  bool requires_grad = false;
+  std::vector<float> grad;  // Lazily allocated, NumElements() long when live.
   std::shared_ptr<GradNode> node;  // Non-null for non-leaf grad tensors.
   // The stamp of the last Backward() walk that reached this tensor. Each
   // walk takes a fresh stamp, so no walk has to clear it; no tensor is
@@ -32,8 +45,11 @@ struct TensorImpl {
   // dropping the gradient it would have carried.
   bool consumed = false;
 
+  // Sized from the shape: an op output's values may be gone by the time
+  // its gradient is needed.
   void EnsureGrad() {
-    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
+    const size_t n = static_cast<size_t>(shape.NumElements());
+    if (grad.size() != n) grad.assign(n, 0.0f);
   }
 };
 
@@ -43,10 +59,28 @@ struct TensorImpl {
 /// framework tensor. Ops (see tensor/ops.h) record a dynamic tape; calling
 /// Backward() on a scalar loss propagates gradients to every reachable
 /// tensor with requires_grad set.
+///
+/// An op output on the tape keeps its values only while a handle holds it
+/// or a recorded backward reads them (see TensorImpl): reading the values
+/// of one that lost both fails a check.
 class Tensor {
  public:
   /// Empty (null) tensor; most APIs require a non-null tensor.
   Tensor() = default;
+  Tensor(const Tensor& other) : impl_(other.impl_) { AddHandle(); }
+  Tensor(Tensor&& other) noexcept = default;
+  Tensor& operator=(const Tensor& other) {
+    Tensor copy(other);
+    return *this = std::move(copy);
+  }
+  Tensor& operator=(Tensor&& other) noexcept {
+    if (this != &other) {
+      DropHandle();
+      impl_ = std::move(other.impl_);
+    }
+    return *this;
+  }
+  ~Tensor() { DropHandle(); }
 
   static Tensor Zeros(const Shape& shape);
   static Tensor Full(const Shape& shape, float value);
@@ -90,9 +124,27 @@ class Tensor {
   void Backward();
 
   const std::shared_ptr<TensorImpl>& impl() const { return impl_; }
-  explicit Tensor(std::shared_ptr<TensorImpl> impl) : impl_(std::move(impl)) {}
+  explicit Tensor(std::shared_ptr<TensorImpl> impl) : impl_(std::move(impl)) {
+    AddHandle();
+  }
 
  private:
+  void AddHandle() const {
+    if (impl_ != nullptr && impl_->counts_handles) {
+      // ordering: relaxed — as a shared_ptr's increment: a reference that
+      // already holds the impl makes the new handle; nothing is published.
+      impl_->handles.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  void DropHandle() {
+    if (impl_ != nullptr && impl_->counts_handles) ReleaseHandle();
+  }
+  /// Drops this handle's count and frees the values once the last handle
+  /// of an op output no recorded backward reads has gone.
+  void ReleaseHandle();
+  /// Fails a check naming the cause when the values were freed.
+  void CheckValues() const;
+
   std::shared_ptr<TensorImpl> impl_;
 };
 

@@ -14,6 +14,7 @@
 #include "decode/topn_sampling.h"
 #include "nmt/scorer.h"
 #include "nmt/transformer.h"
+#include "obs/metrics.h"
 #include "text/vocabulary.h"
 #include "tiny_models.h"
 
@@ -287,6 +288,7 @@ TEST_F(DecodeTest, ExpiredDeadlineStopsEveryDecoderBeforeTheFirstStep) {
   // Regression for the serving deadline-propagation fix: a decoder handed
   // an already-expired deadline must not run a single model step. Every
   // surviving hypothesis is therefore the empty root.
+  // Each stop books one cyqr_decode_deadline_truncated_total.
   Deadline deadline = Deadline::AfterMillis(0);
   deadline.Charge(1.0);  // Deterministically expired (virtual time).
   ASSERT_TRUE(deadline.Expired());
@@ -294,20 +296,28 @@ TEST_F(DecodeTest, ExpiredDeadlineStopsEveryDecoderBeforeTheFirstStep) {
   options.beam_size = 3;
   options.max_len = 8;
   options.deadline = &deadline;
+  const Counter* truncated = MetricsRegistry::Global().GetCounter(
+      "cyqr_decode_deadline_truncated_total");
+  int64_t expected = truncated->Value();
 
   EXPECT_TRUE(GreedyDecode(*model_, {4, 5}, options).ids.empty());
+  EXPECT_EQ(truncated->Value(), ++expected) << "greedy";
   for (const auto& s : BeamSearchDecode(*model_, {4, 5}, options)) {
     EXPECT_TRUE(s.ids.empty());
   }
+  EXPECT_EQ(truncated->Value(), ++expected) << "beam";
   for (const auto& s : DiverseBeamSearchDecode(*model_, {4, 5}, options)) {
     EXPECT_TRUE(s.ids.empty());
   }
+  EXPECT_EQ(truncated->Value(), ++expected) << "diverse beam";
   for (const auto& s : NucleusSamplingDecode(*model_, {4, 5}, options)) {
     EXPECT_TRUE(s.ids.empty());
   }
+  EXPECT_EQ(truncated->Value(), ++expected) << "nucleus";
   for (const auto& s : TopNSamplingDecode(*model_, {4, 5}, options)) {
     EXPECT_TRUE(s.ids.empty());
   }
+  EXPECT_EQ(truncated->Value(), ++expected) << "top-n";
 }
 
 TEST_F(DecodeTest, MidDecodeExpiryReturnsTruncatedHypotheses) {

@@ -9,7 +9,10 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <latch>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -467,6 +470,117 @@ TEST(TapeConsumedTest, BackwardFreesTheTapeAndKeepsLeafGradientsBitForBit) {
               0)
         << "parameter " << i;
   }
+}
+
+TEST(TapeReleaseTest, PaperScaledLossKeepsOnlyTheValuesABackwardReads) {
+  const TinyWorld world = MakeTinyWorld();
+  Rng rng(7);
+  CycleModel model(PaperScaledConfig(world.vocab.size()), rng);
+  model.SetTraining(true);
+  const CycleLoss terms = BuildCycleLoss(model, world);
+  const std::set<const TensorImpl*> held = {
+      terms.lf.impl().get(),  terms.lb.impl().get(), terms.lpf.impl().get(),
+      terms.lpb.impl().get(), terms.lc.impl().get(), terms.loss.impl().get()};
+  // What reads each op output on the tape, by op name.
+  std::map<const TensorImpl*, std::set<std::string>> readers;
+  const std::vector<std::shared_ptr<TensorImpl>> tape =
+      ReachableTensors(terms.loss);
+  for (const std::shared_ptr<TensorImpl>& t : tape) {
+    if (t->node == nullptr) continue;
+    for (size_t i = 0; i < t->node->num_inputs(); ++i) {
+      readers[t->node->input(i).get()].insert(t->node->name);
+    }
+  }
+  // Before Backward, an op output that no handle holds keeps its values
+  // exactly when a recorded backward reads them.
+  std::map<std::string, int> freed;  // By the reader it feeds.
+  int64_t kept_residuals = 0;
+  for (const std::shared_ptr<TensorImpl>& t : tape) {
+    if (t->node == nullptr || held.count(t.get()) > 0) continue;
+    ASSERT_NE(t->values_read, t->values_freed) << t->node->name;
+    ASSERT_EQ(t->data.empty(), t->values_freed) << t->node->name;
+    const std::set<std::string>& by = readers[t.get()];
+    const std::string name = t->node->name;
+    if (by.count("SplitHeads") > 0 || by.count("Softmax") > 0 ||
+        by.count("MaskedCrossEntropy") > 0 ||
+        by.count("SequenceLogProb") > 0 ||
+        (name == "Scale" && by.count("AddMask") > 0) ||
+        (name == "MatMul" && by.count("Scale") > 0)) {
+      EXPECT_TRUE(t->values_freed) << name << " read by " << *by.begin();
+      for (const std::string& reader : by) ++freed[reader];
+    }
+    // Pre-LN: every residual sum feeds a LayerNorm, which reads it.
+    if (name == "Add" && by.count("LayerNorm") > 0) {
+      EXPECT_TRUE(t->values_read);
+      ++kept_residuals;
+    }
+  }
+  // The pre-split projections, the raw, scaled and masked attention
+  // scores, and the logits under both losses.
+  EXPECT_GT(freed["SplitHeads"], 0);
+  EXPECT_GT(freed["Scale"], 0);
+  EXPECT_GT(freed["AddMask"], 0);
+  EXPECT_GT(freed["Softmax"], 0);
+  EXPECT_GT(freed["MaskedCrossEntropy"], 0);
+  EXPECT_GT(freed["SequenceLogProb"], 0);
+  EXPECT_GT(kept_residuals, 0);
+}
+
+std::vector<float> FlattenGrads(const std::vector<Tensor>& params) {
+  std::vector<float> flat;
+  for (const Tensor& p : params) {
+    if (p.has_grad()) {
+      flat.insert(flat.end(), p.grad(), p.grad() + p.NumElements());
+    }
+  }
+  return flat;
+}
+
+TEST(TapeReleaseTest, FourThreadsWalkTheirOwnTapesOverSharedParameters) {
+  // Four threads share one model's parameter handles, as serving workers
+  // share a model's. Each copies and drops the handles in a loop, then
+  // builds and walks its own tape, twice. The copies, the forwards and
+  // every release of values run at once; the walks take turns, as each
+  // adds into the shared parameters' gradients. Under TSan a race on a
+  // handle count, or a write to a shared leaf, fails the run. The copy
+  // loop matters: a race shows only where two threads touch a count with
+  // no shared_ptr traffic between them to order the two.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2;
+  const TinyWorld world = MakeTinyWorld();
+  Rng rng(7);
+  CycleModel model(TinyConfig(world.vocab.size()), rng);
+  model.SetTraining(false);  // Dropout would draw from the model's stream.
+  const std::vector<Tensor> params = model.Parameters();
+  for (int i = 0; i < kThreads * kRounds; ++i) {
+    BuildCycleLoss(model, world).loss.Backward();
+  }
+  const std::vector<float> expected = FlattenGrads(params);
+  ASSERT_FALSE(expected.empty());
+  for (const Tensor& p : params) {
+    Tensor alias = p;
+    alias.ZeroGrad();
+  }
+
+  std::latch start(kThreads);
+  std::mutex walk_mu;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&model, &world, &start, &walk_mu] {
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < 50; ++i) {
+          const std::vector<Tensor> copies = model.Parameters();
+        }
+        CycleLoss terms = BuildCycleLoss(model, world);
+        std::lock_guard<std::mutex> lock(walk_mu);
+        terms.loss.Backward();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // Identical walks in turn add the same sums in the same order.
+  EXPECT_EQ(FlattenGrads(params), expected);
 }
 
 TEST(DpTrainTest, MisconfiguredShardingIsRejected) {

@@ -1,9 +1,9 @@
 // Slow oracles for the taped fast paths: the fused Affine op against the
 // MatMul-then-Add pair it replaces, the stamped backward walk against a
-// DFS over an unordered_set of visited tensors, ReLU's select against the
-// branch, and LayerNorm's row statistics and dropout's byte mask against
-// the normalized rows and float mask they replace. Every comparison is bit
-// for bit.
+// DFS over an unordered_set of visited tensors, ReLU's select on its output
+// against the branch on its input, and LayerNorm's row statistics and
+// dropout's byte mask against the normalized rows and float mask they
+// replace. Every comparison is bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -149,7 +149,7 @@ Tensor LoggedOp(const std::vector<Tensor>& inputs, int id,
   std::vector<std::shared_ptr<TensorImpl>> impls;
   for (const Tensor& t : inputs) impls.push_back(t.impl());
   return MakeOpResult(
-      Shape{1}, {1.0f}, std::span<const Tensor>(inputs),
+      Shape{1}, {1.0f}, std::span<const Tensor>(inputs), BackwardReads{},
       [impls = std::move(impls), id, log](TensorImpl& o) {
         log->push_back(id);
         for (const auto& in : impls) {
@@ -256,6 +256,8 @@ TEST(BackwardWalkDeathTest, SecondWalkThroughAConsumedTensorFailsItsCheck) {
 
 // --- ReLU backward -----------------------------------------------------------
 
+// The backward selects on y = Relu(x) > 0, so no backward reads the
+// pre-activation; the reference branches on x > 0, as it once did.
 TEST(ReluBackwardTest, SelectMatchesTheBranchOnEveryEdgeValue) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
@@ -332,6 +334,7 @@ Tensor SavedRowsLayerNorm(const Tensor& x, const Tensor& gamma,
   auto ib = beta.impl();
   return MakeOpResult(
       x.shape(), std::move(out), {x, gamma, beta},
+      BackwardReads{.inputs = 0b10},  // gamma.
       [ix, ig, ib, xhat, inv_std, rows, d](TensorImpl& o) {
         if (ig->requires_grad || ig->node) ig->EnsureGrad();
         if (ib->requires_grad || ib->node) ib->EnsureGrad();
@@ -436,7 +439,7 @@ Tensor FloatMaskDropout(const Tensor& x, float p, Rng& rng) {
   }
   auto ix = x.impl();
   return MakeOpResult(
-      x.shape(), std::move(out), {x},
+      x.shape(), std::move(out), {x}, BackwardReads{},
       [ix, mask, n](TensorImpl& o) {
         ix->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {

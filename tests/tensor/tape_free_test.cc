@@ -44,11 +44,11 @@ TEST(TapeFreeTest, NoGradOpNeverCopiesOrConvertsItsClosure) {
   CountingBackward backward(&counts);
   NoGradGuard no_grad;
   Tensor from_lvalue =
-      MakeOpResult(x.shape(), std::vector<float>(4, 1.0f), {x}, backward,
-                   "Counted");
+      MakeOpResult(x.shape(), std::vector<float>(4, 1.0f), {x},
+                   BackwardReads{}, backward, "Counted");
   Tensor from_rvalue =
       MakeOpResult(x.shape(), std::vector<float>(4, 1.0f), {x},
-                   CountingBackward(&counts), "Counted");
+                   BackwardReads{}, CountingBackward(&counts), "Counted");
   EXPECT_EQ(counts.copies, 0);
   EXPECT_EQ(counts.moves, 0);
   for (const Tensor& out : {from_lvalue, from_rvalue}) {
@@ -61,7 +61,8 @@ TEST(TapeFreeTest, OpOverConstantsRecordsNothingEvenWithGradEnabled) {
   Tensor x = Leaf(/*requires_grad=*/false);
   CountingBackward::Counts counts;
   Tensor out = MakeOpResult(x.shape(), std::vector<float>(4, 1.0f), {x, x},
-                            CountingBackward(&counts), "Counted");
+                            BackwardReads{}, CountingBackward(&counts),
+                            "Counted");
   EXPECT_EQ(counts.copies + counts.moves, 0);
   EXPECT_EQ(out.impl()->node, nullptr);
 }
@@ -70,7 +71,8 @@ TEST(TapeFreeTest, RecordingOpKeepsItsClosureAndRunsIt) {
   Tensor x = Leaf(/*requires_grad=*/true);
   CountingBackward::Counts counts;
   Tensor out = MakeOpResult(x.shape(), std::vector<float>(4, 1.0f), {x},
-                            CountingBackward(&counts), "Counted");
+                            BackwardReads{}, CountingBackward(&counts),
+                            "Counted");
   ASSERT_NE(out.impl()->node, nullptr);
   EXPECT_TRUE(out.requires_grad());
   EXPECT_STREQ(out.impl()->node->name, "Counted");
