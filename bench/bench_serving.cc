@@ -167,6 +167,12 @@ void BM_DirectModelFallback(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DirectModelFallback)->Unit(benchmark::kMillisecond);
+// Four threads, each with its own service, over the fixture's one direct
+// model: the serving pattern, where workers share the frozen parameters.
+BENCHMARK(BM_DirectModelFallback)
+    ->Unit(benchmark::kMillisecond)
+    ->Threads(4)
+    ->UseRealTime();
 
 // Cache outage (100% injected IoError): every request, including head
 // queries, is absorbed by the direct-model rung.

@@ -1,8 +1,12 @@
 #include "rewrite/config.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 namespace cyqr {
 
@@ -65,22 +69,76 @@ void WriteSeq2SeqConfig(std::ostream& out, const char* prefix,
   out << prefix << ".dropout=" << config.dropout << '\n';
 }
 
-void ReadSeq2SeqConfig(const std::map<std::string, std::string>& kv,
-                       const std::string& prefix, Seq2SeqConfig* config) {
-  auto get = [&kv, &prefix](const char* key, double fallback) {
-    auto it = kv.find(prefix + "." + key);
-    return it == kv.end() ? fallback : std::stod(it->second);
-  };
-  config->vocab_size =
-      static_cast<int64_t>(get("vocab_size", config->vocab_size));
-  config->d_model = static_cast<int64_t>(get("d_model", config->d_model));
-  config->num_heads =
-      static_cast<int64_t>(get("num_heads", config->num_heads));
-  config->ff_hidden =
-      static_cast<int64_t>(get("ff_hidden", config->ff_hidden));
-  config->num_layers =
-      static_cast<int64_t>(get("num_layers", config->num_layers));
-  config->dropout = static_cast<float>(get("dropout", config->dropout));
+using KeyValues = std::map<std::string, std::string>;
+
+// The largest value each size key may take: far above any model or decode
+// this repository runs, and low enough that a corrupt file cannot ask for
+// an absurd one.
+constexpr int64_t kMaxVocabSize = int64_t{1} << 22;
+constexpr int64_t kMaxModelWidth = int64_t{1} << 14;  // d_model, ff_hidden.
+constexpr int64_t kMaxLayers = 64;
+constexpr int64_t kMaxDecodeSize = int64_t{1} << 12;  // k, n and lengths.
+
+/// Reads `key` into `*value` when the file has it. The whole text must be
+/// one number of the value's type: an integer for a size, a finite float
+/// for a rate. Anything else is InvalidArgument naming the key.
+template <typename T>
+Status ReadNumber(const KeyValues& kv, const std::string& key, T* value) {
+  const auto it = kv.find(key);
+  if (it == kv.end()) return Status::OK();
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  // A float is parsed as a double: inf, nan and overflow fail the bound.
+  std::conditional_t<std::is_integral_v<T>, T, double> parsed{};
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error != std::errc() || stop != end ||
+      !(std::fabs(static_cast<double>(parsed)) <=
+        static_cast<double>(std::numeric_limits<T>::max()))) {
+    return Status::InvalidArgument("config " + key + "='" + text +
+                                   "' is not a finite number of its type");
+  }
+  *value = static_cast<T>(parsed);
+  return Status::OK();
+}
+
+/// Reads the size `key` and checks that it lies in [1, cap].
+Status ReadSize(const KeyValues& kv, const std::string& key, int64_t cap,
+                int64_t* value) {
+  CYQR_RETURN_IF_ERROR(ReadNumber(kv, key, value));
+  if (*value < 1 || *value > cap) {
+    return Status::InvalidArgument("config " + key + "=" +
+                                   std::to_string(*value) + " is outside [1, " +
+                                   std::to_string(cap) + "]");
+  }
+  return Status::OK();
+}
+
+Status ReadSeq2SeqConfig(const KeyValues& kv, const std::string& prefix,
+                         Seq2SeqConfig* config) {
+  const std::string p = prefix + ".";
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, p + "vocab_size", kMaxVocabSize, &config->vocab_size));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, p + "d_model", kMaxModelWidth, &config->d_model));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, p + "num_heads", kMaxModelWidth, &config->num_heads));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, p + "ff_hidden", kMaxModelWidth, &config->ff_hidden));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, p + "num_layers", kMaxLayers, &config->num_layers));
+  if (config->d_model % config->num_heads != 0) {
+    return Status::InvalidArgument(
+        "config " + p + "num_heads=" + std::to_string(config->num_heads) +
+        " does not divide " + p + "d_model=" +
+        std::to_string(config->d_model));
+  }
+  CYQR_RETURN_IF_ERROR(ReadNumber(kv, p + "dropout", &config->dropout));
+  if (!(config->dropout >= 0.0f && config->dropout < 1.0f)) {
+    return Status::InvalidArgument("config " + p + "dropout=" +
+                                   std::to_string(config->dropout) +
+                                   " is outside [0, 1)");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -116,27 +174,24 @@ Result<CycleConfig> LoadCycleConfig(const std::string& path) {
   // config would quietly fall back to defaults for the missing keys.
   if (in.bad()) return Status::IoError("read error in " + path);
   CycleConfig config;
-  ReadSeq2SeqConfig(kv, "forward", &config.forward);
-  ReadSeq2SeqConfig(kv, "backward", &config.backward);
+  CYQR_RETURN_IF_ERROR(ReadSeq2SeqConfig(kv, "forward", &config.forward));
+  CYQR_RETURN_IF_ERROR(ReadSeq2SeqConfig(kv, "backward", &config.backward));
   if (auto it = kv.find("arch"); it != kv.end()) {
-    config.arch = it->second == "attention-rnn" ? ArchType::kAttentionRnn
-                                                : ArchType::kTransformer;
+    if (it->second == ArchTypeName(ArchType::kAttentionRnn)) {
+      config.arch = ArchType::kAttentionRnn;
+    } else if (it->second != ArchTypeName(ArchType::kTransformer)) {
+      return Status::InvalidArgument("config arch='" + it->second +
+                                     "' names no architecture");
+    }
   }
-  auto get = [&kv](const char* key, double fallback) {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::stod(it->second);
-  };
-  config.lambda = static_cast<float>(get("lambda", config.lambda));
-  config.beam_width =
-      static_cast<int64_t>(get("beam_width", config.beam_width));
-  config.top_n = static_cast<int64_t>(get("top_n", config.top_n));
-  config.max_title_len =
-      static_cast<int64_t>(get("max_title_len", config.max_title_len));
-  config.max_query_len =
-      static_cast<int64_t>(get("max_query_len", config.max_query_len));
-  if (config.forward.vocab_size <= 0) {
-    return Status::InvalidArgument("config missing forward.vocab_size");
-  }
+  CYQR_RETURN_IF_ERROR(ReadNumber(kv, "lambda", &config.lambda));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, "beam_width", kMaxDecodeSize, &config.beam_width));
+  CYQR_RETURN_IF_ERROR(ReadSize(kv, "top_n", kMaxDecodeSize, &config.top_n));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, "max_title_len", kMaxDecodeSize, &config.max_title_len));
+  CYQR_RETURN_IF_ERROR(
+      ReadSize(kv, "max_query_len", kMaxDecodeSize, &config.max_query_len));
   return config;
 }
 

@@ -32,18 +32,41 @@ namespace autograd_internal {
 /// Wraps an op's output values in a fresh tensor and counts the op.
 Tensor OpOutput(const Shape& shape, std::vector<float> data);
 
+/// How many input impls a backward closure takes after the output's.
+template <typename Method>
+struct ClosureInputs;
+template <typename C, typename... In>
+struct ClosureInputs<void (C::*)(TensorImpl&, In...) const>
+    : std::integral_constant<size_t, sizeof...(In)> {};
+
 /// The tape node of one op: its inputs and its backward closure, built in
-/// one allocation.
+/// one allocation. It hands the closure the inputs it holds (MakeOpResult).
 template <typename Fn>
 class OpNode final : public GradNode {
  public:
+  static constexpr bool kTakesSpan =
+      std::is_invocable_v<Fn&, TensorImpl&, InputSpan>;
+  static constexpr size_t kInputs =
+      ClosureInputs<decltype(&Fn::operator())>::value;
+
   template <typename F>
   OpNode(F&& backward, const char* name)
       : GradNode(name), backward_(std::forward<F>(backward)) {}
 
-  void Backward(TensorImpl& out) override { backward_(out); }
+  void Backward(TensorImpl& out) override {
+    if constexpr (kTakesSpan) {
+      backward_(out, inputs());
+    } else {
+      Fire(out, inputs(), std::make_index_sequence<kInputs>());
+    }
+  }
 
  private:
+  template <size_t... I>
+  void Fire(TensorImpl& out, InputSpan in, std::index_sequence<I...>) {
+    backward_(out, *in[I]...);
+  }
+
   Fn backward_;
 };
 
@@ -64,8 +87,9 @@ Tensor MakeOpResult(const Shape& shape, std::vector<float> data,
                     Backward&& backward, const char* name) {
   Tensor out = OpOutput(shape, std::move(data));
   if (AnyInputNeedsGrad(inputs)) {
-    auto node = std::make_shared<OpNode<std::decay_t<Backward>>>(
-        std::forward<Backward>(backward), name);
+    using Node = OpNode<std::decay_t<Backward>>;
+    CYQR_CHECK(Node::kTakesSpan || inputs.size() == Node::kInputs);
+    auto node = std::make_shared<Node>(std::forward<Backward>(backward), name);
     node->SetInputs(inputs);
     uint32_t bit = 1;
     for (const Tensor& t : inputs) {
@@ -99,9 +123,11 @@ inline bool OpRecords(OpInputList inputs) {
 
 /// Builds an op output tensor and, when OpRecords(inputs), records a tape
 /// node whose `backward` accumulates into the inputs. The backward closure
-/// receives the *output* impl (its .grad is the upstream gradient) and may
-/// read only the values `reads` names: the output's own, and those of the
-/// inputs whose bits are set.
+/// receives the *output* impl (its .grad is the upstream gradient) and then
+/// the input impls the node holds, one `TensorImpl&` per input in order
+/// (`StackRows` takes a GradNode::InputSpan), so it captures no handle of
+/// its own. It may read only the values `reads` names: the output's own,
+/// and those of the inputs whose bits are set.
 ///
 /// Nothing that only backward needs is built unless the op records: the
 /// closure stays the caller's object (never copied or moved) and no

@@ -16,8 +16,6 @@ namespace cyqr {
 
 namespace {
 
-std::shared_ptr<TensorImpl> Impl(const Tensor& t) { return t.impl(); }
-
 // What each op's backward reads besides the upstream gradient (see
 // BackwardReads): nothing; its own output; its first two inputs (MatMul
 // and Mul both, Affine x and W, LayerNorm x and gamma); or its one input
@@ -28,10 +26,10 @@ constexpr BackwardReads kReadsFirstTwoInputs{.inputs = 0b11};
 constexpr BackwardReads kReadsInputAndOutput{.inputs = 0b1, .output = true};
 
 /// Accumulates `delta` into the input's grad buffer (allocating if needed).
-void AccumInto(TensorImpl& in, const float* delta, size_t n) {
+void AccumInto(TensorImpl& in, const std::vector<float>& delta) {
   in.EnsureGrad();
-  CYQR_CHECK_EQ(in.grad.size(), n);
-  for (size_t i = 0; i < n; ++i) in.grad[i] += delta[i];
+  CYQR_CHECK_EQ(in.grad.size(), delta.size());
+  for (size_t i = 0; i < delta.size(); ++i) in.grad[i] += delta[i];
 }
 
 struct MatDims {
@@ -91,22 +89,20 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   } else {
     for (int64_t i = 0; i < n; ++i) out[i] = pa[i] + pb[i];
   }
-  auto ia = Impl(a);
-  auto ib = Impl(b);
   return MakeOpResult(
       a.shape(), std::move(out), {a, b}, kReadsNothing,
-      [ia, ib, n, d, bias_broadcast](TensorImpl& o) {
-        if (ia->requires_grad || ia->node) {
-          AccumInto(*ia, o.grad.data(), o.grad.size());
+      [n, d, bias_broadcast](TensorImpl& o, TensorImpl& ia, TensorImpl& ib) {
+        if (ia.requires_grad || ia.node) {
+          AccumInto(ia, o.grad);
         }
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
           if (bias_broadcast) {
             for (int64_t row = 0; row < n; row += d) {
-              for (int64_t j = 0; j < d; ++j) ib->grad[j] += o.grad[row + j];
+              for (int64_t j = 0; j < d; ++j) ib.grad[j] += o.grad[row + j];
             }
           } else {
-            for (int64_t i = 0; i < n; ++i) ib->grad[i] += o.grad[i];
+            for (int64_t i = 0; i < n; ++i) ib.grad[i] += o.grad[i];
           }
         }
       },
@@ -120,17 +116,15 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] - pb[i];
-  auto ia = Impl(a);
-  auto ib = Impl(b);
   return MakeOpResult(
       a.shape(), std::move(out), {a, b}, kReadsNothing,
-      [ia, ib, n](TensorImpl& o) {
-        if (ia->requires_grad || ia->node) {
-          AccumInto(*ia, o.grad.data(), o.grad.size());
+      [n](TensorImpl& o, TensorImpl& ia, TensorImpl& ib) {
+        if (ia.requires_grad || ia.node) {
+          AccumInto(ia, o.grad);
         }
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
-          for (int64_t i = 0; i < n; ++i) ib->grad[i] -= o.grad[i];
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
+          for (int64_t i = 0; i < n; ++i) ib.grad[i] -= o.grad[i];
         }
       },
       "Sub");
@@ -143,21 +137,19 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] * pb[i];
-  auto ia = Impl(a);
-  auto ib = Impl(b);
   return MakeOpResult(
       a.shape(), std::move(out), {a, b}, kReadsFirstTwoInputs,
-      [ia, ib, n](TensorImpl& o) {
-        if (ia->requires_grad || ia->node) {
-          ia->EnsureGrad();
+      [n](TensorImpl& o, TensorImpl& ia, TensorImpl& ib) {
+        if (ia.requires_grad || ia.node) {
+          ia.EnsureGrad();
           for (int64_t i = 0; i < n; ++i) {
-            ia->grad[i] += o.grad[i] * ib->data[i];
+            ia.grad[i] += o.grad[i] * ib.data[i];
           }
         }
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
           for (int64_t i = 0; i < n; ++i) {
-            ib->grad[i] += o.grad[i] * ia->data[i];
+            ib.grad[i] += o.grad[i] * ia.data[i];
           }
         }
       },
@@ -169,12 +161,11 @@ Tensor Scale(const Tensor& a, float s) {
   std::vector<float> out(n);
   const float* pa = a.data();
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] * s;
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsNothing,
-      [ia, s, n](TensorImpl& o) {
-        ia->EnsureGrad();
-        for (int64_t i = 0; i < n; ++i) ia->grad[i] += o.grad[i] * s;
+      [s, n](TensorImpl& o, TensorImpl& ia) {
+        ia.EnsureGrad();
+        for (int64_t i = 0; i < n; ++i) ia.grad[i] += o.grad[i] * s;
       },
       "Scale");
 }
@@ -184,10 +175,9 @@ Tensor AddScalar(const Tensor& a, float s) {
   std::vector<float> out(n);
   const float* pa = a.data();
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] + s;
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsNothing,
-      [ia](TensorImpl& o) { AccumInto(*ia, o.grad.data(), o.grad.size()); },
+      [](TensorImpl& o, TensorImpl& ia) { AccumInto(ia, o.grad); },
       "AddScalar");
 }
 
@@ -223,19 +213,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
             out.data() + bi * m * n, /*accumulate=*/true);
   }
 
-  auto ia = Impl(a);
-  auto ib = Impl(b);
   return MakeOpResult(
       out_shape, std::move(out), {a, b}, kReadsFirstTwoInputs,
-      [ia, ib, m, n, k, batch, a_stride, b_stride, trans_a,
-       trans_b](TensorImpl& o) {
+      [m, n, k, batch, a_stride, b_stride, trans_a, trans_b](
+          TensorImpl& o, TensorImpl& ia, TensorImpl& ib) {
         const float* dc = o.grad.data();
-        if (ia->requires_grad || ia->node) {
-          ia->EnsureGrad();
+        if (ia.requires_grad || ia.node) {
+          ia.EnsureGrad();
           for (int64_t bi = 0; bi < batch; ++bi) {
             const float* dcb = dc + bi * m * n;
-            const float* pb = ib->data.data() + bi * b_stride;
-            float* dab = ia->grad.data() + bi * a_stride;
+            const float* pb = ib.data.data() + bi * b_stride;
+            float* dab = ia.grad.data() + bi * a_stride;
             if (!trans_a) {
               // dA = dC * op(B)^T, an (m x k) result contracting n.
               GemmRaw(false, !trans_b, m, k, n, dcb, pb, dab, true);
@@ -245,12 +233,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
             }
           }
         }
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
           for (int64_t bi = 0; bi < batch; ++bi) {
             const float* dcb = dc + bi * m * n;
-            const float* pa = ia->data.data() + bi * a_stride;
-            float* dbb = ib->grad.data() + bi * b_stride;
+            const float* pa = ia.data.data() + bi * a_stride;
+            float* dbb = ib.grad.data() + bi * b_stride;
             if (!trans_b) {
               // dB = op(A)^T * dC, a (k x n) result contracting m.
               GemmRaw(!trans_a, false, k, n, m, pa, dcb, dbb, true);
@@ -280,31 +268,28 @@ Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b) {
     float* row = out.data() + r * n;
     for (int64_t j = 0; j < n; ++j) row[j] = row[j] + pb[j];
   }
-  auto ix = Impl(x);
-  auto iw = Impl(w);
-  auto ib = Impl(b);
   return MakeOpResult(
       WithLastDim(x.shape(), n), std::move(out), {x, w, b},
       kReadsFirstTwoInputs,
-      [ix, iw, ib, m, n, k](TensorImpl& o) {
+      [m, n, k](TensorImpl& o, TensorImpl& ix, TensorImpl& iw, TensorImpl& ib) {
         // dY is read where the pair's MatMul read 0 + dY: the same bits,
         // because no stored gradient is -0 (see DESIGN.md).
         const float* dy = o.grad.data();
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
-          float* db = ib->grad.data();
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
+          float* db = ib.grad.data();
           for (int64_t r = 0; r < m; ++r) {
             for (int64_t j = 0; j < n; ++j) db[j] += dy[r * n + j];
           }
         }
-        if (ix->requires_grad || ix->node) {
-          ix->EnsureGrad();
-          GemmRaw(false, true, m, k, n, dy, iw->data.data(), ix->grad.data(),
+        if (ix.requires_grad || ix.node) {
+          ix.EnsureGrad();
+          GemmRaw(false, true, m, k, n, dy, iw.data.data(), ix.grad.data(),
                   /*accumulate=*/true);
         }
-        if (iw->requires_grad || iw->node) {
-          iw->EnsureGrad();
-          GemmRaw(true, false, k, n, m, ix->data.data(), dy, iw->grad.data(),
+        if (iw.requires_grad || iw.node) {
+          iw.EnsureGrad();
+          GemmRaw(true, false, k, n, m, ix.data.data(), dy, iw.grad.data(),
                   /*accumulate=*/true);
         }
       },
@@ -327,14 +312,13 @@ Tensor TransposeLast2(const Tensor& x) {
   Shape out_shape = (x.shape().rank() == 3)
                         ? Shape{d.batch, d.cols, d.rows}
                         : Shape{d.cols, d.rows};
-  auto ix = Impl(x);
   return MakeOpResult(
       out_shape, std::move(out), {x}, kReadsNothing,
-      [ix, d](TensorImpl& o) {
-        ix->EnsureGrad();
+      [d](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t b = 0; b < d.batch; ++b) {
           const float* src = o.grad.data() + b * d.rows * d.cols;
-          float* dst = ix->grad.data() + b * d.rows * d.cols;
+          float* dst = ix.grad.data() + b * d.rows * d.cols;
           for (int64_t i = 0; i < d.cols; ++i) {
             for (int64_t j = 0; j < d.rows; ++j) {
               dst[j * d.cols + i] += src[i * d.rows + j];
@@ -350,12 +334,11 @@ Tensor Relu(const Tensor& a) {
   std::vector<float> out(n);
   const float* pa = a.data();
   for (int64_t i = 0; i < n; ++i) out[i] = pa[i] > 0.0f ? pa[i] : 0.0f;
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsOutput,
-      [ia, n](TensorImpl& o) {
-        ia->EnsureGrad();
-        ReluBackward(o.data.data(), o.grad.data(), ia->grad.data(), n);
+      [n](TensorImpl& o, TensorImpl& ia) {
+        ia.EnsureGrad();
+        ReluBackward(o.data.data(), o.grad.data(), ia.grad.data(), n);
       },
       "Relu");
 }
@@ -365,14 +348,13 @@ Tensor TanhOp(const Tensor& a) {
   std::vector<float> out(n);
   const float* pa = a.data();
   for (int64_t i = 0; i < n; ++i) out[i] = std::tanh(pa[i]);
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsOutput,
-      [ia, n](TensorImpl& o) {
-        ia->EnsureGrad();
+      [n](TensorImpl& o, TensorImpl& ia) {
+        ia.EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
           const float y = o.data[i];
-          ia->grad[i] += o.grad[i] * (1.0f - y * y);
+          ia.grad[i] += o.grad[i] * (1.0f - y * y);
         }
       },
       "Tanh");
@@ -383,14 +365,13 @@ Tensor SigmoidOp(const Tensor& a) {
   std::vector<float> out(n);
   const float* pa = a.data();
   for (int64_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-pa[i]));
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsOutput,
-      [ia, n](TensorImpl& o) {
-        ia->EnsureGrad();
+      [n](TensorImpl& o, TensorImpl& ia) {
+        ia.EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
           const float y = o.data[i];
-          ia->grad[i] += o.grad[i] * y * (1.0f - y);
+          ia.grad[i] += o.grad[i] * y * (1.0f - y);
         }
       },
       "Sigmoid");
@@ -403,17 +384,16 @@ Tensor Softmax(const Tensor& a) {
   for (int64_t r = 0; r < rows; ++r) {
     SoftmaxInPlace(out.data() + r * d, d);
   }
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsOutput,
-      [ia, rows, d](TensorImpl& o) {
-        ia->EnsureGrad();
+      [rows, d](TensorImpl& o, TensorImpl& ia) {
+        ia.EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
           const float* y = o.data.data() + r * d;
           const float* dy = o.grad.data() + r * d;
           float dot = 0.0f;
           for (int64_t j = 0; j < d; ++j) dot += y[j] * dy[j];
-          float* dx = ia->grad.data() + r * d;
+          float* dx = ia.grad.data() + r * d;
           for (int64_t j = 0; j < d; ++j) dx[j] += y[j] * (dy[j] - dot);
         }
       },
@@ -428,17 +408,16 @@ Tensor LogSoftmaxOp(const Tensor& a) {
   for (int64_t r = 0; r < rows; ++r) {
     LogSoftmax(pa + r * d, d, out.data() + r * d);
   }
-  auto ia = Impl(a);
   return MakeOpResult(
       a.shape(), std::move(out), {a}, kReadsOutput,
-      [ia, rows, d](TensorImpl& o) {
-        ia->EnsureGrad();
+      [rows, d](TensorImpl& o, TensorImpl& ia) {
+        ia.EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
           const float* logp = o.data.data() + r * d;
           const float* dy = o.grad.data() + r * d;
           float sum_dy = 0.0f;
           for (int64_t j = 0; j < d; ++j) sum_dy += dy[j];
-          float* dx = ia->grad.data() + r * d;
+          float* dx = ia.grad.data() + r * d;
           for (int64_t j = 0; j < d; ++j) {
             dx[j] += dy[j] - std::exp(logp[j]) * sum_dy;
           }
@@ -484,29 +463,27 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
       out[r * d + j] = pg[j] * xh + pb[j];
     }
   }
-  auto ix = Impl(x);
-  auto ig = Impl(gamma);
-  auto ib = Impl(beta);
   return MakeOpResult(
       x.shape(), std::move(out), {x, gamma, beta}, kReadsFirstTwoInputs,
-      [ix, ig, ib, stats = std::move(stats), rows, d](TensorImpl& o) {
-        if (ig->requires_grad || ig->node) ig->EnsureGrad();
-        if (ib->requires_grad || ib->node) ib->EnsureGrad();
-        const bool need_x = ix->requires_grad || ix->node != nullptr;
-        if (need_x) ix->EnsureGrad();
+      [stats = std::move(stats), rows, d](TensorImpl& o, TensorImpl& ix,
+                                          TensorImpl& ig, TensorImpl& ib) {
+        if (ig.requires_grad || ig.node) ig.EnsureGrad();
+        if (ib.requires_grad || ib.node) ib.EnsureGrad();
+        const bool need_x = ix.requires_grad || ix.node != nullptr;
+        if (need_x) ix.EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
           const float* dy = o.grad.data() + r * d;
-          const float* row = ix->data.data() + r * d;
+          const float* row = ix.data.data() + r * d;
           const float mu = stats[2 * r];
           const float istd = stats[2 * r + 1];
-          if (!ig->grad.empty()) {
+          if (!ig.grad.empty()) {
             for (int64_t j = 0; j < d; ++j) {
               const float xh = (row[j] - mu) * istd;
-              ig->grad[j] += dy[j] * xh;
+              ig.grad[j] += dy[j] * xh;
             }
           }
-          if (!ib->grad.empty()) {
-            for (int64_t j = 0; j < d; ++j) ib->grad[j] += dy[j];
+          if (!ib.grad.empty()) {
+            for (int64_t j = 0; j < d; ++j) ib.grad[j] += dy[j];
           }
           if (need_x) {
             // dxhat = dy * gamma; dx = istd*(dxhat - mean(dxhat)
@@ -514,15 +491,15 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
             float mean_dxh = 0.0f;
             float mean_dxh_xh = 0.0f;
             for (int64_t j = 0; j < d; ++j) {
-              const float dxh = dy[j] * ig->data[j];
+              const float dxh = dy[j] * ig.data[j];
               mean_dxh += dxh;
               mean_dxh_xh += dxh * ((row[j] - mu) * istd);
             }
             mean_dxh /= d;
             mean_dxh_xh /= d;
-            float* dx = ix->grad.data() + r * d;
+            float* dx = ix.grad.data() + r * d;
             for (int64_t j = 0; j < d; ++j) {
-              const float dxh = dy[j] * ig->data[j];
+              const float dxh = dy[j] * ig.data[j];
               const float xh = (row[j] - mu) * istd;
               dx[j] += istd * (dxh - mean_dxh - xh * mean_dxh_xh);
             }
@@ -548,13 +525,12 @@ Tensor DropoutOp(const Tensor& x, float p, Rng& rng, bool training) {
     if (!keep.empty()) keep[i] = m != 0.0f;
     out[i] = px[i] * m;
   }
-  auto ix = Impl(x);
   return MakeOpResult(
       x.shape(), std::move(out), {x}, kReadsNothing,
-      [ix, keep = std::move(keep), scale, n](TensorImpl& o) {
-        ix->EnsureGrad();
+      [keep = std::move(keep), scale, n](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          ix->grad[i] += o.grad[i] * (keep[i] != 0 ? scale : 0.0f);
+          ix.grad[i] += o.grad[i] * (keep[i] != 0 ? scale : 0.0f);
         }
       },
       "Dropout");
@@ -563,10 +539,9 @@ Tensor DropoutOp(const Tensor& x, float p, Rng& rng, bool training) {
 Tensor Reshape(const Tensor& x, const Shape& shape) {
   CYQR_CHECK_EQ(shape.NumElements(), x.NumElements());
   std::vector<float> out(x.data(), x.data() + x.NumElements());
-  auto ix = Impl(x);
   return MakeOpResult(
       shape, std::move(out), {x}, kReadsNothing,
-      [ix](TensorImpl& o) { AccumInto(*ix, o.grad.data(), o.grad.size()); },
+      [](TensorImpl& o, TensorImpl& ix) { AccumInto(ix, o.grad); },
       "Reshape");
 }
 
@@ -588,17 +563,16 @@ Tensor SplitHeads(const Tensor& x, int64_t num_heads) {
       }
     }
   }
-  auto ix = Impl(x);
   return MakeOpResult(
       Shape{b * num_heads, t, dh}, std::move(out), {x}, kReadsNothing,
-      [ix, b, t, d, dh, num_heads](TensorImpl& o) {
-        ix->EnsureGrad();
+      [b, t, d, dh, num_heads](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
           for (int64_t ti = 0; ti < t; ++ti) {
             for (int64_t h = 0; h < num_heads; ++h) {
               const float* src =
                   o.grad.data() + ((bi * num_heads + h) * t + ti) * dh;
-              float* dst = ix->grad.data() + (bi * t + ti) * d + h * dh;
+              float* dst = ix.grad.data() + (bi * t + ti) * d + h * dh;
               for (int64_t j = 0; j < dh; ++j) dst[j] += src[j];
             }
           }
@@ -626,17 +600,16 @@ Tensor MergeHeads(const Tensor& x, int64_t num_heads) {
       }
     }
   }
-  auto ix = Impl(x);
   return MakeOpResult(
       Shape{b, t, d}, std::move(out), {x}, kReadsNothing,
-      [ix, b, t, d, dh, num_heads](TensorImpl& o) {
-        ix->EnsureGrad();
+      [b, t, d, dh, num_heads](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
           for (int64_t ti = 0; ti < t; ++ti) {
             for (int64_t h = 0; h < num_heads; ++h) {
               const float* src = o.grad.data() + (bi * t + ti) * d + h * dh;
               float* dst =
-                  ix->grad.data() + ((bi * num_heads + h) * t + ti) * dh;
+                  ix.grad.data() + ((bi * num_heads + h) * t + ti) * dh;
               for (int64_t j = 0; j < dh; ++j) dst[j] += src[j];
             }
           }
@@ -659,24 +632,22 @@ Tensor ConcatLastDim(const Tensor& a, const Tensor& b) {
     std::memcpy(out.data() + r * (da + db) + da, pb + r * db,
                 sizeof(float) * db);
   }
-  auto ia = Impl(a);
-  auto ib = Impl(b);
   return MakeOpResult(
       WithLastDim(a.shape(), da + db), std::move(out), {a, b}, kReadsNothing,
-      [ia, ib, rows, da, db](TensorImpl& o) {
-        if (ia->requires_grad || ia->node) {
-          ia->EnsureGrad();
+      [rows, da, db](TensorImpl& o, TensorImpl& ia, TensorImpl& ib) {
+        if (ia.requires_grad || ia.node) {
+          ia.EnsureGrad();
           for (int64_t r = 0; r < rows; ++r) {
             const float* src = o.grad.data() + r * (da + db);
-            float* dst = ia->grad.data() + r * da;
+            float* dst = ia.grad.data() + r * da;
             for (int64_t j = 0; j < da; ++j) dst[j] += src[j];
           }
         }
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
           for (int64_t r = 0; r < rows; ++r) {
             const float* src = o.grad.data() + r * (da + db) + da;
-            float* dst = ib->grad.data() + r * db;
+            float* dst = ib.grad.data() + r * db;
             for (int64_t j = 0; j < db; ++j) dst[j] += src[j];
           }
         }
@@ -694,14 +665,13 @@ Tensor SliceLastDim(const Tensor& x, int64_t begin, int64_t end) {
   for (int64_t r = 0; r < rows; ++r) {
     std::memcpy(out.data() + r * w, px + r * d + begin, sizeof(float) * w);
   }
-  auto ix = Impl(x);
   return MakeOpResult(
       WithLastDim(x.shape(), w), std::move(out), {x}, kReadsNothing,
-      [ix, rows, d, w, begin](TensorImpl& o) {
-        ix->EnsureGrad();
+      [rows, d, w, begin](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
           const float* src = o.grad.data() + r * w;
-          float* dst = ix->grad.data() + r * d + begin;
+          float* dst = ix.grad.data() + r * d + begin;
           for (int64_t j = 0; j < w; ++j) dst[j] += src[j];
         }
       },
@@ -720,17 +690,16 @@ Tensor EmbeddingGather(const Tensor& table, const std::vector<int32_t>& ids,
     CYQR_CHECK(ids[i] >= 0 && ids[i] < v);
     std::memcpy(out.data() + i * d, pt + ids[i] * d, sizeof(float) * d);
   }
-  auto it = Impl(table);
   // Only backward reads the ids again.
   std::vector<int32_t> kept_ids;
   if (OpRecords({table})) kept_ids = ids;
   return MakeOpResult(
       Shape{batch, seq, d}, std::move(out), {table}, kReadsNothing,
-      [it, kept_ids = std::move(kept_ids), d](TensorImpl& o) {
-        it->EnsureGrad();
+      [kept_ids = std::move(kept_ids), d](TensorImpl& o, TensorImpl& it) {
+        it.EnsureGrad();
         for (size_t i = 0; i < kept_ids.size(); ++i) {
           const float* src = o.grad.data() + i * d;
-          float* dst = it->grad.data() + kept_ids[i] * d;
+          float* dst = it.grad.data() + kept_ids[i] * d;
           for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
         }
       },
@@ -743,10 +712,9 @@ Tensor AddMask(const Tensor& scores, const std::vector<float>& mask) {
   std::vector<float> out(n);
   const float* ps = scores.data();
   for (int64_t i = 0; i < n; ++i) out[i] = ps[i] + mask[i];
-  auto is = Impl(scores);
   return MakeOpResult(
       scores.shape(), std::move(out), {scores}, kReadsNothing,
-      [is](TensorImpl& o) { AccumInto(*is, o.grad.data(), o.grad.size()); },
+      [](TensorImpl& o, TensorImpl& is) { AccumInto(is, o.grad); },
       "AddMask");
 }
 
@@ -793,7 +761,6 @@ Tensor MaskedCrossEntropy(const Tensor& logits,
     }
   }
   const float loss = count > 0 ? static_cast<float>(total_nll / count) : 0.0f;
-  auto il = Impl(logits);
   // Only backward reads the probabilities, targets and mask again.
   std::vector<int32_t> kept_targets;
   std::vector<float> kept_mask;
@@ -803,16 +770,16 @@ Tensor MaskedCrossEntropy(const Tensor& logits,
   }
   return MakeOpResult(
       Shape{}, {loss}, {logits}, kReadsNothing,
-      [il, probs = std::move(probs), kept_targets = std::move(kept_targets),
+      [probs = std::move(probs), kept_targets = std::move(kept_targets),
        kept_mask = std::move(kept_mask), b, t, v, count, eps,
-       uniform](TensorImpl& o) {
+       uniform](TensorImpl& o, TensorImpl& il) {
         if (count <= 0) return;
-        il->EnsureGrad();
+        il.EnsureGrad();
         const float g = o.grad[0] / static_cast<float>(count);
         for (int64_t i = 0; i < b * t; ++i) {
           if (kept_mask[i] == 0.0f) continue;
           const float* p = probs.data() + i * v;
-          float* dst = il->grad.data() + i * v;
+          float* dst = il.grad.data() + i * v;
           const int32_t y = kept_targets[i];
           // d/dlogits = softmax - smoothed target distribution.
           for (int64_t j = 0; j < v; ++j) {
@@ -850,7 +817,6 @@ Tensor SequenceLogProb(const Tensor& logits,
     }
     out[bi] = static_cast<float>(acc);
   }
-  auto il = Impl(logits);
   // Only backward reads the probabilities, targets and mask again.
   std::vector<int32_t> kept_targets;
   std::vector<float> kept_mask;
@@ -860,9 +826,10 @@ Tensor SequenceLogProb(const Tensor& logits,
   }
   return MakeOpResult(
       Shape{b}, std::move(out), {logits}, kReadsNothing,
-      [il, probs = std::move(probs), kept_targets = std::move(kept_targets),
-       kept_mask = std::move(kept_mask), b, t, v](TensorImpl& o) {
-        il->EnsureGrad();
+      [probs = std::move(probs), kept_targets = std::move(kept_targets),
+       kept_mask = std::move(kept_mask), b, t,
+       v](TensorImpl& o, TensorImpl& il) {
+        il.EnsureGrad();
         for (int64_t bi = 0; bi < b; ++bi) {
           const float g = o.grad[bi];
           if (g == 0.0f) continue;
@@ -870,7 +837,7 @@ Tensor SequenceLogProb(const Tensor& logits,
             const int64_t i = bi * t + ti;
             if (kept_mask[i] == 0.0f) continue;
             const float* p = probs.data() + i * v;
-            float* dst = il->grad.data() + i * v;
+            float* dst = il.grad.data() + i * v;
             const int32_t y = kept_targets[i];
             // d logp[y] / d logits = onehot(y) - softmax.
             for (int64_t j = 0; j < v; ++j) dst[j] -= g * p[j];
@@ -892,17 +859,16 @@ Tensor GroupLogSumExp(const Tensor& x, int64_t group) {
   for (int64_t g = 0; g < groups; ++g) {
     out[g] = LogSumExp(px + g * group, static_cast<size_t>(group));
   }
-  auto ix = Impl(x);
   return MakeOpResult(
       Shape{groups}, std::move(out), {x}, kReadsInputAndOutput,
-      [ix, groups, group](TensorImpl& o) {
-        ix->EnsureGrad();
+      [groups, group](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t g = 0; g < groups; ++g) {
           const float lse = o.data[g];
           const float dy = o.grad[g];
           for (int64_t j = 0; j < group; ++j) {
             const int64_t i = g * group + j;
-            ix->grad[i] += dy * std::exp(ix->data[i] - lse);
+            ix.grad[i] += dy * std::exp(ix.data[i] - lse);
           }
         }
       },
@@ -928,18 +894,16 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bcast) {
       for (int64_t j = 0; j < d; ++j) dst[j] = src[j] + row[j];
     }
   }
-  auto ia = Impl(a);
-  auto ib = Impl(bcast);
   return MakeOpResult(
       a.shape(), std::move(out), {a, bcast}, kReadsNothing,
-      [ia, ib, b, t, d](TensorImpl& o) {
-        if (ia->requires_grad || ia->node) {
-          AccumInto(*ia, o.grad.data(), o.grad.size());
+      [b, t, d](TensorImpl& o, TensorImpl& ia, TensorImpl& ib) {
+        if (ia.requires_grad || ia.node) {
+          AccumInto(ia, o.grad);
         }
-        if (ib->requires_grad || ib->node) {
-          ib->EnsureGrad();
+        if (ib.requires_grad || ib.node) {
+          ib.EnsureGrad();
           for (int64_t bi = 0; bi < b; ++bi) {
-            float* dst = ib->grad.data() + bi * d;
+            float* dst = ib.grad.data() + bi * d;
             for (int64_t ti = 0; ti < t; ++ti) {
               const float* src = o.grad.data() + (bi * t + ti) * d;
               for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
@@ -964,14 +928,11 @@ Tensor StackRows(const std::vector<Tensor>& steps) {
                   sizeof(float) * d);
     }
   }
-  std::vector<std::shared_ptr<TensorImpl>> impls;
-  impls.reserve(steps.size());
-  for (const Tensor& s : steps) impls.push_back(s.impl());
   return MakeOpResult(
       Shape{b, t, d}, std::move(out), steps, kReadsNothing,
-      [impls = std::move(impls), b, t, d](TensorImpl& o) {
+      [b, t, d](TensorImpl& o, GradNode::InputSpan inputs) {
         for (int64_t ti = 0; ti < t; ++ti) {
-          TensorImpl& in = *impls[ti];
+          TensorImpl& in = *inputs[ti];
           if (!in.requires_grad && in.node == nullptr) continue;
           in.EnsureGrad();
           for (int64_t bi = 0; bi < b; ++bi) {
@@ -989,12 +950,11 @@ Tensor SumAll(const Tensor& x) {
   double acc = 0.0;
   const float* px = x.data();
   for (int64_t i = 0; i < n; ++i) acc += px[i];
-  auto ix = Impl(x);
   return MakeOpResult(
       Shape{}, {static_cast<float>(acc)}, {x}, kReadsNothing,
-      [ix, n](TensorImpl& o) {
-        ix->EnsureGrad();
-        for (int64_t i = 0; i < n; ++i) ix->grad[i] += o.grad[0];
+      [n](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
+        for (int64_t i = 0; i < n; ++i) ix.grad[i] += o.grad[0];
       },
       "SumAll");
 }

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/check.h"
@@ -19,13 +20,13 @@ class GradNode;
 /// Shared storage + autograd metadata behind a Tensor handle.
 struct TensorImpl {
   // An op output that records a node counts the Tensor handles that point
-  // at it, apart from the tape's own references (the node list and the
-  // closures of the ops that read it). When the last handle goes while the
-  // node is alive and no recorded backward reads the values, the values
-  // are freed; the impl stays on the tape to carry the gradient. Leaves
-  // and no-grad outputs never count, so threads may share their handles
-  // and the no-grad path pays a flag test per handle copy and drop. The
-  // flags sit first, beside the shared_ptr's own counts.
+  // at it, apart from the tape's own references (the node lists of the ops
+  // that read it). When the last handle goes while the node is alive and
+  // no recorded backward reads the values, the values are freed; the impl
+  // stays on the tape to carry the gradient. Leaves and no-grad outputs
+  // never count, so threads may share their handles and the no-grad path
+  // pays a flag test per handle copy and drop. The flags sit first, beside
+  // the shared_ptr's own counts.
   std::atomic<int32_t> handles{0};
   bool counts_handles = false;  // Set once, before a second handle exists.
   bool values_read = false;     // A recorded backward reads `data`.
@@ -151,13 +152,15 @@ class Tensor {
 /// A node in the dynamic autograd tape: the inputs of one op and its
 /// backward, which reads `out.grad` and accumulates into each input's grad
 /// (allocating it on demand). MakeOpResult (tensor/autograd.h) derives one
-/// node type per op closure, so a node and its closure are one allocation.
+/// node type per op closure, so a node and its closure are one allocation,
+/// and the node's list is the tape's only reference to the inputs.
 /// Up to kInlineInputs inputs live in the node itself; an op with more
 /// (StackRows) keeps them all in a vector. Tensor::Backward() releases each
 /// node once its turn in the walk has come.
 class GradNode {
  public:
   static constexpr size_t kInlineInputs = 3;
+  using InputSpan = std::span<const std::shared_ptr<TensorImpl>>;
 
   explicit GradNode(const char* op_name) : name(op_name) {}
   virtual ~GradNode() = default;
@@ -185,7 +188,11 @@ class GradNode {
 
   size_t num_inputs() const { return num_inputs_; }
   const std::shared_ptr<TensorImpl>& input(size_t i) const {
-    return num_inputs_ > kInlineInputs ? spilled_[i] : inline_[i];
+    return inputs()[i];
+  }
+  InputSpan inputs() const {
+    return {num_inputs_ > kInlineInputs ? spilled_.data() : inline_.data(),
+            num_inputs_};
   }
 
   const char* name;

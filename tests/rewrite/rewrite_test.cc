@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 
@@ -85,6 +87,48 @@ TEST(ConfigTest, SaveLoadRoundTrip) {
 
 TEST(ConfigTest, LoadMissingFileFails) {
   EXPECT_FALSE(LoadCycleConfig("/nonexistent/config.txt").ok());
+}
+
+TEST(ConfigTest, EveryBadLineIsAnInvalidArgumentNamingItsKey) {
+  const std::string good = testing::TempDir() + "/good_config.txt";
+  ASSERT_TRUE(SaveCycleConfig(PaperScaledConfig(321), good).ok());
+  std::ifstream in(good);
+  ASSERT_TRUE(in.is_open());
+  const std::string saved((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_TRUE(LoadCycleConfig(good).ok());
+  // Each line overrides its key in a copy of the good file.
+  const std::vector<std::string> bad_lines = {
+      "forward.vocab_size=abc",  "forward.vocab_size=1e400",
+      "forward.vocab_size=",     "forward.vocab_size=12x",
+      "forward.vocab_size=1.5",  "forward.vocab_size=0",
+      "forward.vocab_size=-3",   "forward.vocab_size=99999999999999999999",
+      "backward.vocab_size=abc", "forward.d_model=1000000",
+      "forward.num_heads=0",     "forward.num_heads=3",
+      "forward.ff_hidden=0",     "backward.num_layers=65",
+      "forward.dropout=1",       "forward.dropout=-0.1",
+      "forward.dropout=nan",     "backward.dropout=inf",
+      "backward.dropout=1e400",  "lambda=abc",
+      "lambda=nan",              "lambda=1e39",
+      "arch=bogus",              "arch=",
+      "beam_width=0",            "top_n=-1",
+      "max_title_len=5000",      "max_query_len=x",
+  };
+  for (size_t i = 0; i < bad_lines.size(); ++i) {
+    const std::string& line = bad_lines[i];
+    const std::string path =
+        testing::TempDir() + "/bad_config_" + std::to_string(i) + ".txt";
+    std::ofstream out(path);
+    out << saved << line << '\n';
+    out.close();
+    ASSERT_TRUE(out.good()) << path;
+    const Result<CycleConfig> loaded = LoadCycleConfig(path);
+    ASSERT_FALSE(loaded.ok()) << line;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << line;
+    const std::string key = line.substr(0, line.find('='));
+    EXPECT_NE(loaded.status().message().find(key), std::string::npos)
+        << line << ": " << loaded.status().message();
+  }
 }
 
 TEST(CycleModelTest, ParametersCombineBothModels) {

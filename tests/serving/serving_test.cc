@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <latch>
 #include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "rewrite/trainer.h"
 #include "serving/fault_injection.h"
@@ -526,6 +532,40 @@ TEST_F(ServiceTest, DirectModelBackendReportsDeadlineExpiry) {
   ASSERT_TRUE(backend.Rewrite({"cheap", "phone"}, 2, 10, fresh, &out).ok());
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].tokens, (std::vector<std::string>{"budget", "phone"}));
+}
+
+TEST_F(ServiceTest, FourThreadsDecodeOneSharedModelAsOneThreadDoes) {
+  // Tail queries only: none is in the store, so each reaches the model rung
+  // and decodes on the fixture's one model, which every thread shares.
+  const std::vector<std::vector<std::string>> tail = {
+      {"cheap", "phone"}, {"budget", "phone"}, {"cheap", "budget"}};
+  RewriteService::Options options;
+  options.default_budget_millis = 0;  // No deadline: TSan slows decodes.
+  using Answers =
+      std::vector<std::pair<Source, std::vector<std::vector<std::string>>>>;
+  const auto serve = [&](Answers* answers) {
+    RewriteService service(&store_, fallback_.get(), options);
+    for (int round = 0; round < 4; ++round) {
+      for (const std::vector<std::string>& query : tail) {
+        const auto response = service.Serve(query);
+        answers->emplace_back(response.source, response.rewrites);
+      }
+    }
+  };
+  Answers one_thread;
+  serve(&one_thread);
+  ASSERT_EQ(one_thread[0].first, Source::kDirectModel);
+  std::vector<Answers> per_thread(4);
+  std::latch start(static_cast<std::ptrdiff_t>(per_thread.size()));
+  std::vector<std::thread> threads;
+  for (Answers& answers : per_thread) {
+    threads.emplace_back([&start, &serve, &answers] {
+      start.arrive_and_wait();
+      serve(&answers);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Answers& answers : per_thread) EXPECT_EQ(answers, one_thread);
 }
 
 TEST_F(ServiceTest, NullFallbackServesIdentityPassthrough) {

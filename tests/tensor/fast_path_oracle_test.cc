@@ -146,11 +146,9 @@ TEST(AffineTest, OnlyTheInputsThatNeedGradientsGetThem) {
 /// gradient on to every input, so every reachable node fires.
 Tensor LoggedOp(const std::vector<Tensor>& inputs, int id,
                 std::vector<int>* log) {
-  std::vector<std::shared_ptr<TensorImpl>> impls;
-  for (const Tensor& t : inputs) impls.push_back(t.impl());
   return MakeOpResult(
       Shape{1}, {1.0f}, std::span<const Tensor>(inputs), BackwardReads{},
-      [impls = std::move(impls), id, log](TensorImpl& o) {
+      [id, log](TensorImpl& o, GradNode::InputSpan impls) {
         log->push_back(id);
         for (const auto& in : impls) {
           in->EnsureGrad();
@@ -329,40 +327,38 @@ Tensor SavedRowsLayerNorm(const Tensor& x, const Tensor& gamma,
       out[r * d + j] = pg[j] * xh + pb[j];
     }
   }
-  auto ix = x.impl();
-  auto ig = gamma.impl();
-  auto ib = beta.impl();
   return MakeOpResult(
       x.shape(), std::move(out), {x, gamma, beta},
       BackwardReads{.inputs = 0b10},  // gamma.
-      [ix, ig, ib, xhat, inv_std, rows, d](TensorImpl& o) {
-        if (ig->requires_grad || ig->node) ig->EnsureGrad();
-        if (ib->requires_grad || ib->node) ib->EnsureGrad();
-        const bool need_x = ix->requires_grad || ix->node != nullptr;
-        if (need_x) ix->EnsureGrad();
+      [xhat, inv_std, rows, d](TensorImpl& o, TensorImpl& ix, TensorImpl& ig,
+                               TensorImpl& ib) {
+        if (ig.requires_grad || ig.node) ig.EnsureGrad();
+        if (ib.requires_grad || ib.node) ib.EnsureGrad();
+        const bool need_x = ix.requires_grad || ix.node != nullptr;
+        if (need_x) ix.EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
           const float* dy = o.grad.data() + r * d;
           const float* xh = xhat->data() + r * d;
-          if (!ig->grad.empty()) {
-            for (int64_t j = 0; j < d; ++j) ig->grad[j] += dy[j] * xh[j];
+          if (!ig.grad.empty()) {
+            for (int64_t j = 0; j < d; ++j) ig.grad[j] += dy[j] * xh[j];
           }
-          if (!ib->grad.empty()) {
-            for (int64_t j = 0; j < d; ++j) ib->grad[j] += dy[j];
+          if (!ib.grad.empty()) {
+            for (int64_t j = 0; j < d; ++j) ib.grad[j] += dy[j];
           }
           if (need_x) {
             float mean_dxh = 0.0f;
             float mean_dxh_xh = 0.0f;
             for (int64_t j = 0; j < d; ++j) {
-              const float dxh = dy[j] * ig->data[j];
+              const float dxh = dy[j] * ig.data[j];
               mean_dxh += dxh;
               mean_dxh_xh += dxh * xh[j];
             }
             mean_dxh /= d;
             mean_dxh_xh /= d;
             const float istd = (*inv_std)[r];
-            float* dx = ix->grad.data() + r * d;
+            float* dx = ix.grad.data() + r * d;
             for (int64_t j = 0; j < d; ++j) {
-              const float dxh = dy[j] * ig->data[j];
+              const float dxh = dy[j] * ig.data[j];
               dx[j] += istd * (dxh - mean_dxh - xh[j] * mean_dxh_xh);
             }
           }
@@ -437,13 +433,12 @@ Tensor FloatMaskDropout(const Tensor& x, float p, Rng& rng) {
     (*mask)[i] = m;
     out[i] = px[i] * m;
   }
-  auto ix = x.impl();
   return MakeOpResult(
       x.shape(), std::move(out), {x}, BackwardReads{},
-      [ix, mask, n](TensorImpl& o) {
-        ix->EnsureGrad();
+      [mask, n](TensorImpl& o, TensorImpl& ix) {
+        ix.EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          ix->grad[i] += o.grad[i] * (*mask)[i];
+          ix.grad[i] += o.grad[i] * (*mask)[i];
         }
       },
       "Dropout");

@@ -4,12 +4,15 @@
 // that are op outputs themselves, once keeping every handle and once
 // dropping them before Backward, and compares every gradient bit for bit:
 // an op whose backward reads values it did not declare reads freed ones.
+// It also checks that the tape nodes are the only owners of an op's inputs
+// besides the test's own handles: no backward closure keeps a copy.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,24 @@ struct OpCase {
   std::function<Tensor(const Inputs&)> op;
 };
 
+/// How many times the nodes of the tape under `y` list `input`.
+long TapeListings(const Tensor& y, const Tensor& input) {
+  long listings = 0;
+  std::vector<const TensorImpl*> stack = {y.impl().get()};
+  std::set<const TensorImpl*> seen = {y.impl().get()};
+  while (!stack.empty()) {
+    const GradNode* node = stack.back()->node.get();
+    stack.pop_back();
+    if (node == nullptr) continue;
+    for (size_t i = 0; i < node->num_inputs(); ++i) {
+      const TensorImpl* in = node->input(i).get();
+      if (in == input.impl().get()) ++listings;
+      if (seen.insert(in).second) stack.push_back(in);
+    }
+  }
+  return listings;
+}
+
 /// The leaves' gradients after Backward of a weighted sum of a copy of the
 /// op's output, with each leaf reaching the op through a Reshape, so every
 /// input and the output are op outputs on the tape. Unless `keep_handles`,
@@ -44,6 +65,11 @@ std::vector<std::vector<float>> LeafGradients(const OpCase& c,
     inputs.push_back(Reshape(leaves.back(), shape));
   }
   Tensor y = c.op(inputs);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    // `inputs` holds one reference; every other is a node's listing.
+    EXPECT_EQ(inputs[i].impl().use_count(), 1 + TapeListings(y, inputs[i]))
+        << c.name << ", input " << i;
+  }
   const Tensor copy = Reshape(y, y.shape());  // No backward reads y.
   std::vector<std::shared_ptr<TensorImpl>> tape = {y.impl()};
   for (const Tensor& t : inputs) tape.push_back(t.impl());

@@ -10,12 +10,14 @@
 namespace cyqr {
 namespace {
 
-/// A backward closure that counts how often it is copied, moved and run.
+/// A one-input backward closure that counts how often it is copied, moved
+/// and run.
 struct CountingBackward {
   struct Counts {
     int copies = 0;
     int moves = 0;
     int calls = 0;
+    const TensorImpl* input = nullptr;  // What the last call was handed.
   };
   Counts* counts;
 
@@ -29,7 +31,10 @@ struct CountingBackward {
   }
   CountingBackward& operator=(const CountingBackward&) = delete;
   CountingBackward& operator=(CountingBackward&&) = delete;
-  void operator()(TensorImpl&) const { ++counts->calls; }
+  void operator()(TensorImpl&, TensorImpl& in) const {
+    ++counts->calls;
+    counts->input = &in;
+  }
 };
 
 Tensor Leaf(bool requires_grad) {
@@ -81,6 +86,7 @@ TEST(TapeFreeTest, RecordingOpKeepsItsClosureAndRunsIt) {
   EXPECT_EQ(counts.copies, 0);  // An rvalue closure is moved, not copied.
   SumAll(out).Backward();
   EXPECT_EQ(counts.calls, 1);
+  EXPECT_EQ(counts.input, x.impl().get());  // The node's own input.
 }
 
 TEST(TapeFreeTest, SpanInputsRecordEveryInput) {

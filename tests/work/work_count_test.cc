@@ -267,9 +267,8 @@ TEST(AllocationsPerOpTest, TapedOpAddsInputsClosureAndNode) {
 TEST(AllocationsPerOpTest, TapedStackOfManyInputsAddsItsInputVector) {
   const Work op = TapedStackOfFourRows();
   EXPECT_EQ(op.ops, 1);
-  // Beyond a taped op's three: the node's input vector and the closure's
-  // vector of input impls.
-  EXPECT_EQ(op.allocations, AddOfTwoRows(/*no_grad=*/false).allocations + 2);
+  // Beyond a taped op's three: the node's input vector.
+  EXPECT_EQ(op.allocations, AddOfTwoRows(/*no_grad=*/false).allocations + 1);
 }
 
 TEST(AllocationsPerOpTest, InactiveDropoutAllocatesNothing) {
